@@ -5,13 +5,9 @@
      table1        aborted-instance counts on the industrial suite
      table2        aborted-instance counts on the design-debugging suite
      fig1/2/3      per-instance runtime scatter pairs (CSV)
-     ablation-card msu4 across all five cardinality encodings
      ablation-opt  msu4 with/without the optional line-19 constraint
      ablation-msu  msu1 / msu2 / msu3 / msu4 head to head
      ablation-wpm1 weighted algorithms on weighted debugging instances
-     ablation-incremental
-                   persistent-solver vs rebuild-per-iteration modes on the
-                   industrial and debugging suites (BENCH_incremental.json)
      ablation-inprocess
                    inprocessing (BVE, subsumption, failed-literal
                    probing at restart boundaries) on vs off across the
@@ -373,17 +369,6 @@ let generic_suite_run ~tag name solvers =
              results) );
     ]
 
-let ablation_card () =
-  (* Binomial is excluded up front: it is Theta(n^(k+1)) clauses and
-     overflows on every industrial-size core, which is the finding. *)
-  generic_suite_run ~tag:"card" "Ablation A - msu4 across cardinality encodings"
-    (List.map
-       (fun enc ->
-         ( "msu4/" ^ Msu_card.Card.encoding_to_string enc,
-           fun (config : T.config) w ->
-             Msu_maxsat.Msu4.solve ~config:{ config with T.encoding = enc } w ))
-       Msu_card.Card.[ Bdd; Sortnet; Seqcounter; Totalizer ])
-
 let ablation_opt () =
   generic_suite_run ~tag:"opt" "Ablation B - msu4 line-19 optional constraint"
     [
@@ -435,155 +420,13 @@ let ablation_wpm1 () =
       ("consistency_errors", Json.Int (List.length (R.consistency_errors runs)));
     ]
 
-(* Incremental-vs-rebuild ablation.  Each run gets a fresh guard so the
-   total SAT-conflict count can be read back; each (suite, algorithm)
-   pair is solved once per mode and the per-suite aggregates — plus an
-   optimum-equality cross-check between the modes — land in
-   BENCH_incremental.json so later PRs have a perf trajectory. *)
-
-type mode_totals = {
-  mt_wall : float;
-  mt_conflicts : int;
-  mt_rebuilds : int;
-  mt_clauses_reused : int;
-  mt_learnts_kept : int;
-  mt_solved : int;
-  mt_optima : (string * int option) list; (* instance -> optimum if proved *)
-}
-
-let run_mode ~incremental solve instances =
-  let wall = ref 0. in
-  let conflicts = ref 0 in
-  let rebuilds = ref 0 in
-  let reused = ref 0 in
-  let learnts = ref 0 in
-  let solved = ref 0 in
-  let optima =
-    List.map
-      (fun (name, _, w) ->
-        let t0 = Unix.gettimeofday () in
-        let deadline = t0 +. !timeout in
-        let g = Msu_guard.Guard.create ~deadline () in
-        let config =
-          {
-            T.default_config with
-            T.deadline;
-            T.guard = Some g;
-            T.incremental = incremental;
-          }
-        in
-        let r = solve config w in
-        wall := !wall +. (Unix.gettimeofday () -. t0);
-        conflicts := !conflicts + Msu_guard.Guard.conflicts g;
-        rebuilds := !rebuilds + r.T.stats.T.rebuilds;
-        reused := !reused + r.T.stats.T.clauses_reused;
-        learnts := !learnts + r.T.stats.T.learnts_kept;
-        match r.T.outcome with
-        | T.Optimum c ->
-            incr solved;
-            (name, Some c)
-        | _ -> (name, None))
-      instances
-  in
-  {
-    mt_wall = !wall;
-    mt_conflicts = !conflicts;
-    mt_rebuilds = !rebuilds;
-    mt_clauses_reused = !reused;
-    mt_learnts_kept = !learnts;
-    mt_solved = !solved;
-    mt_optima = optima;
-  }
-
-let optima_mismatches inc reb =
-  List.filter_map
-    (fun (name, a) ->
-      match (a, List.assoc_opt name reb.mt_optima) with
-      | Some x, Some (Some y) when x <> y -> Some (name, x, y)
-      | _ -> None)
-    inc.mt_optima
-
-let json_mode m =
-  Json.Obj
-    [
-      ("wall_clock_s", Json.Num m.mt_wall);
-      ("conflicts", Json.Int m.mt_conflicts);
-      ("rebuilds", Json.Int m.mt_rebuilds);
-      ("clauses_reused", Json.Int m.mt_clauses_reused);
-      ("learnts_kept", Json.Int m.mt_learnts_kept);
-      ("solved", Json.Int m.mt_solved);
-    ]
-
-let ablation_incremental () =
-  let subsample l = if !smoke then List.filteri (fun i _ -> i mod 3 = 0) l else l in
-  let suites =
-    [
-      ("industrial", subsample (to_wcnf (Suites.industrial ~scale:!scale ~seed:!seed ())));
-      ("debugging", subsample (to_wcnf (Suites.debugging ~scale:!scale ~seed:!seed ())));
-    ]
-  in
-  let algorithms =
-    [
-      ("msu1", fun config w -> Msu_maxsat.Msu1.solve ~config w);
-      ("msu3", fun config w -> Msu_maxsat.Msu3.solve ~config w);
-      ("msu4-v2", fun config w -> Msu_maxsat.Msu4.solve ~config w);
-      ("oll", fun config w -> Msu_maxsat.Oll.solve ~config w);
-      ("pbo", fun config w -> Msu_maxsat.Pbo.solve ~config w);
-    ]
-  in
-  let suite_docs =
-    List.map
-      (fun (suite_name, instances) ->
-        Printf.printf
-          "\nAblation E - incremental vs rebuild: %s suite (%d instances, timeout %.1fs)\n"
-          suite_name (List.length instances) !timeout;
-        Printf.printf "  %-10s %-12s %7s %9s %11s %9s %14s %13s\n" "algorithm" "mode"
-          "solved" "wall" "conflicts" "rebuilds" "clauses-reused" "learnts-kept";
-        let alg_docs =
-          List.map
-            (fun (alg_name, solve) ->
-              let inc = run_mode ~incremental:true solve instances in
-              let reb = run_mode ~incremental:false solve instances in
-              let show label (m : mode_totals) =
-                Printf.printf "  %-10s %-12s %3d/%-3d %8.2fs %11d %9d %14d %13d\n%!"
-                  alg_name label m.mt_solved (List.length instances) m.mt_wall
-                  m.mt_conflicts m.mt_rebuilds m.mt_clauses_reused m.mt_learnts_kept
-              in
-              show "incremental" inc;
-              show "rebuild" reb;
-              let mismatches = optima_mismatches inc reb in
-              List.iter
-                (fun (name, a, b) ->
-                  Printf.printf
-                    "  OPTIMA MISMATCH %s/%s: incremental %d vs rebuild %d\n%!" alg_name
-                    name a b)
-                mismatches;
-              Json.Obj
-                [
-                  ("algorithm", Json.Str alg_name);
-                  ("incremental", json_mode inc);
-                  ("rebuild", json_mode reb);
-                  ("optima_match", Json.Bool (mismatches = []));
-                ])
-            algorithms
-        in
-        Json.Obj
-          [
-            ("suite", Json.Str suite_name);
-            ("instances", Json.Int (List.length instances));
-            ("algorithms", Json.List alg_docs);
-          ])
-      suites
-  in
-  write_bench_json "incremental" [ ("suites", Json.List suite_docs) ]
-
 (* Inprocessing ablation.  Every instance is solved by each core-guided
    algorithm twice — inprocessing (BVE + subsumption + failed-literal
-   probing at restart boundaries) on and off, both in incremental mode —
-   under identical per-instance guards.  Wall clock, guard conflicts and
-   propagations are aggregated per mode, the engine's pass counters are
-   read as deltas from the Msu_obs registry, and optima are cross-checked
-   per instance.  The per-suite "improved" flag is the acceptance gate:
+   probing at restart boundaries) on and off — under identical
+   per-instance guards.  Wall clock, guard conflicts and propagations
+   are aggregated per mode, the engine's pass counters are read as
+   deltas from the Msu_obs registry, and optima are cross-checked per
+   instance.  The per-suite "improved" flag is the acceptance gate:
    inprocessing must strictly reduce conflicts+propagations (or wall
    clock) on at least one suite with optima identical.  Aggregates land
    in BENCH_inprocess.json. *)
@@ -633,7 +476,6 @@ let run_inpro ~inprocess solve instances =
             T.default_config with
             T.deadline;
             T.guard = Some g;
-            T.incremental = true;
             T.inprocess = inprocess;
           }
         in
@@ -2297,11 +2139,9 @@ let () =
       fig1 ();
       fig2 ();
       fig3 ()
-  | "ablation-card" -> ablation_card ()
   | "ablation-opt" -> ablation_opt ()
   | "ablation-msu" -> ablation_msu ()
   | "ablation-wpm1" -> ablation_wpm1 ()
-  | "ablation-incremental" -> ablation_incremental ()
   | "ablation-inprocess" -> ablation_inprocess ()
   | "ablation-portfolio" -> ablation_portfolio ()
   | "ablation-service" -> ablation_service ()
@@ -2316,11 +2156,9 @@ let () =
       fig2 ();
       fig3 ();
       table2 ();
-      ablation_card ();
       ablation_opt ();
       ablation_msu ();
       ablation_wpm1 ();
-      ablation_incremental ();
       ablation_inprocess ();
       ablation_portfolio ();
       ablation_service ();

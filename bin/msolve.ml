@@ -115,7 +115,7 @@ let presimplify_instance ~quiet w =
       Some (w', r.Msu_sat.Simplify.restore_model)
 
 let run file algorithm encoding timeout conflicts propagations memory_mb verify
-    verbose trace_file stats_json no_geq1 no_incremental quiet incomplete
+    verbose trace_file stats_json no_geq1 quiet incomplete
     portfolio jobs share_clauses sls_worker connect priority no_cache
     no_inprocess presimplify profile =
   let w =
@@ -215,7 +215,6 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
           T.deadline;
           T.encoding;
           T.core_geq1 = not no_geq1;
-          T.incremental = not no_incremental;
           T.sink = sink;
           T.spans = spans;
           T.max_conflicts = conflicts;
@@ -321,12 +320,11 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
           | None -> "[]"
         in
         Printf.printf
-          "{\"file\":%S,\"outcome\":%S,\"lb\":%d,\"ub\":%s,\"elapsed\":%.6f,\"stats\":{\"sat_calls\":%d,\"cores\":%d,\"blocking_vars\":%d,\"encoding_clauses\":%d,\"rebuilds\":%d},\"phases\":%s,\"gc\":{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\"heap_words\":%d,\"minor_collections\":%d,\"major_collections\":%d},\"metrics\":%s}\n"
+          "{\"file\":%S,\"outcome\":%S,\"lb\":%d,\"ub\":%s,\"elapsed\":%.6f,\"stats\":{\"sat_calls\":%d,\"cores\":%d,\"blocking_vars\":%d,\"encoding_clauses\":%d},\"phases\":%s,\"gc\":{\"minor_words\":%.0f,\"major_words\":%.0f,\"promoted_words\":%.0f,\"heap_words\":%d,\"minor_collections\":%d,\"major_collections\":%d},\"metrics\":%s}\n"
           file outcome_tag lb
           (match ub with Some u -> string_of_int u | None -> "null")
           r.T.elapsed r.T.stats.T.sat_calls r.T.stats.T.cores
-          r.T.stats.T.blocking_vars r.T.stats.T.encoding_clauses
-          r.T.stats.T.rebuilds phases_json
+          r.T.stats.T.blocking_vars r.T.stats.T.encoding_clauses phases_json
           (Gc.minor_words () -. gc0_minor)
           (gc1.Gc.major_words -. gc0.Gc.major_words)
           (gc1.Gc.promoted_words -. gc0.Gc.promoted_words)
@@ -411,8 +409,9 @@ let encoding =
     & opt encoding_conv Card.Sortnet
     & info [ "e"; "encoding" ] ~docv:"ENC"
         ~doc:
-          "Cardinality encoding for algorithms that honour it: bdd, sortnet, \
-           seqcounter, totalizer, binomial.")
+          "Cardinality encoding (bdd, sortnet, seqcounter, totalizer, binomial) \
+           of the optimality probe that $(b,--verify) runs.  No algorithm \
+           reads it, so msu4-v1 and msu4-v2 run the same search.")
 
 let timeout =
   Arg.(
@@ -481,15 +480,6 @@ let no_geq1 =
     & info [ "no-core-geq1" ]
         ~doc:"Disable msu4's optional at-least-one constraint (Algorithm 1, line 19).")
 
-let no_incremental =
-  Arg.(
-    value & flag
-    & info [ "no-incremental" ]
-        ~doc:
-          "Rebuild the SAT solver from scratch after each UNSAT iteration (the \
-           historical behaviour) instead of keeping one incremental solver with \
-           assumption selectors for the whole solve.  Mainly for ablation.")
-
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress comment lines.")
 
 let incomplete =
@@ -505,10 +495,9 @@ let portfolio =
     value & flag
     & info [ "portfolio" ]
         ~doc:
-          "Race several algorithm/encoding configurations in forked worker \
-           processes with live lower/upper-bound sharing; the first to close \
-           the gap wins and the rest are cancelled gracefully.  Ignores \
-           $(b,--algorithm) and $(b,--encoding).")
+          "Race several algorithms in forked worker processes with live \
+           lower/upper-bound sharing; the first to close the gap wins and the \
+           rest are cancelled gracefully.  Ignores $(b,--algorithm).")
 
 let jobs =
   Arg.(
@@ -616,7 +605,7 @@ let cmd =
     Term.(
       const run $ file $ algorithm $ encoding $ timeout $ conflicts $ propagations
       $ memory_mb $ verify $ verbose $ trace_file $ stats_json $ no_geq1
-      $ no_incremental $ quiet $ incomplete $ portfolio $ jobs $ share_clauses
+      $ quiet $ incomplete $ portfolio $ jobs $ share_clauses
       $ sls_worker $ connect $ priority $ no_cache $ no_inprocess $ presimplify
       $ profile)
 

@@ -181,8 +181,6 @@ let m_encoding =
   Obs.Metrics.counter ~help:"clauses emitted by cardinality encoders"
     "msu_encoding_clauses_total"
 
-let m_rebuilds = Obs.Metrics.counter ~help:"solver reconstructions" "msu_rebuilds_total"
-
 let m_solve_seconds =
   Obs.Metrics.histogram ~help:"wall-clock seconds per solve" "msu_solve_seconds"
 
@@ -207,7 +205,6 @@ let finish (cfg : Types.config) ~t0 ~stats outcome model =
   Obs.Metrics.inc ~by:stats.Types.cores m_cores;
   Obs.Metrics.inc ~by:stats.Types.blocking_vars m_blocking;
   Obs.Metrics.inc ~by:stats.Types.encoding_clauses m_encoding;
-  Obs.Metrics.inc ~by:stats.Types.rebuilds m_rebuilds;
   Obs.Metrics.observe m_solve_seconds elapsed;
   Obs.Gc_metrics.sample ();
   Types.{ outcome; model; stats; elapsed }
@@ -219,9 +216,6 @@ module Tally = struct
     mutable cores : int;
     mutable blocking_vars : int;
     mutable encoding_clauses : int;
-    mutable builds : int;
-    mutable clauses_reused : int;
-    mutable learnts_kept : int;
   }
 
   let create ?(emit = fun (_ : Obs.Event.kind) -> ()) () =
@@ -231,9 +225,6 @@ module Tally = struct
       cores = 0;
       blocking_vars = 0;
       encoding_clauses = 0;
-      builds = 0;
-      clauses_reused = 0;
-      learnts_kept = 0;
     }
 
   let sat_call t =
@@ -248,14 +239,6 @@ module Tally = struct
   let blocking_var t = t.blocking_vars <- t.blocking_vars + 1
   let encoded t n = t.encoding_clauses <- t.encoding_clauses + n
 
-  let build t =
-    t.builds <- t.builds + 1;
-    if t.builds > 1 then t.emit Obs.Event.Rebuild
-
-  let reused t ~clauses ~learnts =
-    t.clauses_reused <- t.clauses_reused + clauses;
-    t.learnts_kept <- t.learnts_kept + learnts
-
   let snapshot (t : t) =
     Types.
       {
@@ -263,9 +246,6 @@ module Tally = struct
         cores = t.cores;
         blocking_vars = t.blocking_vars;
         encoding_clauses = t.encoding_clauses;
-        rebuilds = max 0 (t.builds - 1);
-        clauses_reused = t.clauses_reused;
-        learnts_kept = t.learnts_kept;
       }
 end
 

@@ -125,17 +125,6 @@ module Tally : sig
 
   val blocking_var : t -> unit
   val encoded : t -> int -> unit
-
-  val build : t -> unit
-  (** Record one solver construction.  {!snapshot} reports
-      [stats.rebuilds = builds - 1], so an incremental solve that builds
-      once shows zero rebuilds.  Emits [Rebuild] from the second build
-      on. *)
-
-  val reused : t -> clauses:int -> learnts:int -> unit
-  (** Record, just before a SAT call on an already-built solver, how many
-      problem clauses and learnt clauses it is reusing. *)
-
   val snapshot : t -> Types.stats
 end
 

@@ -5,10 +5,6 @@ module Sink = Msu_cnf.Sink
 
 type options = { exactly_one : Msu_cnf.Sink.t -> Msu_cnf.Lit.t array -> unit }
 
-(* ------------------------------------------------------------------ *)
-(* Incremental path: one persistent solver for the whole solve.         *)
-(* ------------------------------------------------------------------ *)
-
 (* Fu & Malik rewrites a soft clause every time a core touches it (one
    more blocking variable).  With activation literals that rewrite is:
    retire the clause's current selector and re-add the extended clause
@@ -22,7 +18,6 @@ let run_incremental opts (config : Types.config) w t0 =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
@@ -56,15 +51,10 @@ let run_incremental opts (config : Types.config) w t0 =
   in
   let cost = ref 0 in
   let bounds () = finish (Types.Bounds { lb = !cost; ub = None }) None in
-  let first = ref true in
   let rec loop () =
     if Common.over_deadline config then bounds ()
     else begin
       Common.Tally.sat_call tally;
-      if !first then first := false
-      else
-        Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-          ~learnts:(Solver.num_learnts s);
       let assumptions = Array.init n_soft (fun i -> Lit.neg sel.(i)) in
       match
         Common.sat_call_span config s (fun () ->
@@ -118,114 +108,8 @@ let run_incremental opts (config : Types.config) w t0 =
   in
   try loop () with Msu_guard.Guard.Interrupt _ -> bounds ()
 
-(* ------------------------------------------------------------------ *)
-(* Rebuild path (ablation baseline).                                    *)
-(* ------------------------------------------------------------------ *)
-
-type state = {
-  w : Wcnf.t;
-  tally : Common.Tally.t;
-  blocks : Lit.t list array; (* accumulated blocking literals per soft *)
-  aux : Lit.t array list ref; (* constraint clauses, replayed on rebuild *)
-  mutable next_var : int;
-}
-
-let fresh st =
-  let v = st.next_var in
-  st.next_var <- v + 1;
-  v
-
-(* Sink that records constraint clauses for replay on each rebuild. *)
-let aux_sink st =
-  Sink.
-    {
-      fresh_var = (fun () -> fresh st);
-      emit =
-        (fun c ->
-          Common.Tally.encoded st.tally 1;
-          st.aux := c :: !(st.aux));
-    }
-
-let build st =
-  Common.Tally.build st.tally;
-  let s = Solver.create () in
-  Solver.ensure_vars s st.next_var;
-  Wcnf.iter_hard (fun _ c -> Solver.add_clause s c) st.w;
-  Wcnf.iter_soft
-    (fun i c _ ->
-      match st.blocks.(i) with
-      | [] -> Solver.add_clause ~id:i s c
-      | bs -> Solver.add_clause ~id:i s (Array.append c (Array.of_list bs)))
-    st.w;
-  List.iter (fun c -> Solver.add_clause s c) !(st.aux);
-  s
-
-let run_rebuild opts (config : Types.config) w t0 =
-  let st =
-    {
-      w;
-      tally = Common.tally config;
-      blocks = Array.make (max (Wcnf.num_soft w) 1) [];
-      aux = ref [];
-      next_var = Wcnf.num_vars w;
-    }
-  in
-  let build st =
-    Common.span config "rebuild" (fun () ->
-        let s = build st in
-        Solver.on_event s (Common.event config);
-        Common.attach_tracer config s;
-        s)
-  in
-  let finish outcome model =
-    Common.finish config ~t0 ~stats:(Common.Tally.snapshot st.tally) outcome model
-  in
-  let cost = ref 0 in
-  let rec loop s =
-    if Common.over_deadline config then
-      finish (Types.Bounds { lb = !cost; ub = None }) None
-    else begin
-      Common.Tally.sat_call st.tally;
-      match
-        Common.sat_call_span config s (fun () ->
-            Solver.solve ~deadline:config.deadline ?guard:config.guard s)
-      with
-      | Solver.Unknown -> finish (Types.Bounds { lb = !cost; ub = None }) None
-      | Solver.Sat ->
-          Common.trace config (fun () -> Printf.sprintf "SAT: optimum %d" !cost);
-          finish (Types.Optimum !cost) (Some (Solver.model s))
-      | Solver.Unsat -> (
-          match Common.span config "core_extract" (fun () -> Solver.unsat_core s) with
-          | [] -> finish Types.Hard_unsat None
-          | core ->
-              Common.Tally.core ~size:(List.length core)
-                ~fresh_blocking:(List.length core) st.tally;
-              let new_bs =
-                List.map
-                  (fun i ->
-                    let b = Lit.pos (fresh st) in
-                    st.blocks.(i) <- b :: st.blocks.(i);
-                    Common.Tally.blocking_var st.tally;
-                    b)
-                  core
-              in
-              Common.card_event config ~arity:(List.length new_bs) ~bound:1;
-              opts.exactly_one (aux_sink st) (Array.of_list new_bs);
-              incr cost;
-              Common.note_lb config !cost;
-              Common.trace config (fun () ->
-                  Printf.sprintf "UNSAT: core of %d soft clauses, cost now %d"
-                    (List.length core) !cost);
-              loop (build st))
-    end
-  in
-  try loop (build st)
-  with Msu_guard.Guard.Interrupt _ ->
-    finish (Types.Bounds { lb = !cost; ub = None }) None
-
 let run opts (config : Types.config) w =
   Common.require_unit_weights w;
   let config = Common.with_guard config in
   let t0 = Unix.gettimeofday () in
-  if config.Types.incremental then run_incremental opts config w t0
-  else run_rebuild opts config w t0
+  run_incremental opts config w t0

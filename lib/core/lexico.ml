@@ -27,25 +27,12 @@ let is_bmo w =
   in
   go (levels w)
 
-let add_stats (a : Types.stats) (b : Types.stats) =
-  Types.
-    {
-      sat_calls = a.sat_calls + b.sat_calls;
-      cores = a.cores + b.cores;
-      blocking_vars = a.blocking_vars + b.blocking_vars;
-      encoding_clauses = a.encoding_clauses + b.encoding_clauses;
-      rebuilds = a.rebuilds + b.rebuilds;
-      clauses_reused = a.clauses_reused + b.clauses_reused;
-      learnts_kept = a.learnts_kept + b.learnts_kept;
-    }
-
 (* Each weight level gets its own inner solve over a different soft set
    (with the previous levels' hardenings added), so lexico keeps one
    persistent solver {e per level} rather than one for the whole solve:
    the instances differ in their hard clauses, which no selector
-   discipline can retract.  [config.incremental] still pays off — it is
-   inherited by every inner solve, and the per-level rebuild/reuse
-   counters aggregate into this result's stats. *)
+   discipline can retract.  The per-level stats add up into this
+   result's. *)
 let solve ?(config = Types.default_config) ?(inner = fun ?config w -> Msu4.solve ?config w)
     w =
   if not (is_bmo w) then
@@ -95,7 +82,7 @@ let solve ?(config = Types.default_config) ?(inner = fun ?config w -> Msu4.solve
     | (weight, idxs) :: rest -> (
         let sub = sub_instance idxs in
         let r = inner ~config sub in
-        let stats = add_stats stats r.Types.stats in
+        let stats = Types.merge_stats stats r.Types.stats in
         match r.Types.outcome with
         | Types.Optimum opt ->
             Common.trace config (fun () ->

@@ -61,8 +61,8 @@ let algorithm_of_string = function
   | _ -> None
 
 let describe = function
-  | Msu4_v1 -> "msu4 with BDD cardinality encoding (paper's v1)"
-  | Msu4_v2 -> "msu4 with sorting-network cardinality encoding (paper's v2)"
+  | Msu4_v1 -> "msu4 under the paper's v1 (BDD) name; runs the same search as msu4-v2"
+  | Msu4_v2 -> "msu4 with its at-most bound on an incremental totalizer"
   | Msu1 -> "Fu & Malik core-guided algorithm with pairwise exactly-one"
   | Msu2 -> "Fu & Malik variant with linear exactly-one encodings"
   | Msu3 -> "core-guided lower-bound search, one blocking variable per clause"

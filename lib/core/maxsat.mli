@@ -4,9 +4,11 @@
     The algorithms (all exact):
 
     {ul
-    {- {!Msu4} — the paper's contribution; [Msu4_v1] fixes the BDD
-       cardinality encoding, [Msu4_v2] the sorting-network one, matching
-       the two versions evaluated in the paper.}
+    {- {!Msu4} — the paper's contribution.  [Msu4_v1] and [Msu4_v2]
+       keep the names of the paper's two versions and set
+       [config.encoding] to BDD and sorting networks, but msu4 counts
+       with an incremental totalizer and never reads the encoding, so
+       both run the same search (DESIGN.md §7).}
     {- {!Msu1}/{!Msu2}/{!Msu3} — the earlier core-guided algorithms
        discussed in the paper's related work.}
     {- {!Oll} — the incremental soft-cardinality algorithm the msu line
@@ -20,8 +22,8 @@
     {- [Brute] — exhaustive reference for testing.}} *)
 
 type algorithm =
-  | Msu4_v1  (** msu4 with BDD-encoded cardinality constraints *)
-  | Msu4_v2  (** msu4 with sorting networks *)
+  | Msu4_v1  (** msu4 with [config.encoding = Bdd]; same search as [Msu4_v2] *)
+  | Msu4_v2  (** msu4 with [config.encoding = Sortnet] *)
   | Msu1
   | Msu2
   | Msu3
@@ -48,7 +50,7 @@ val describe : algorithm -> string
 val solve :
   ?config:Types.config -> algorithm -> Msu_cnf.Wcnf.t -> Types.result
 (** Dispatches; [Msu4_v1]/[Msu4_v2] override [config.encoding] with
-    their fixed encoding, every other algorithm honours it. *)
+    their fixed encoding.  No algorithm dispatched here reads it. *)
 
 val solve_formula :
   ?config:Types.config -> algorithm -> Msu_cnf.Formula.t -> Types.result

@@ -5,10 +5,6 @@ module Card = Msu_card.Card
 module Itotalizer = Msu_card.Itotalizer
 module Sink = Msu_cnf.Sink
 
-(* ------------------------------------------------------------------ *)
-(* Incremental path: one persistent solver for the whole solve.         *)
-(* ------------------------------------------------------------------ *)
-
 (* Every soft clause goes in under a selector; assuming the selector's
    negation enforces the clause, so a core is read off the failed
    assumptions instead of the resolution trace.  Relaxing a clause is
@@ -23,7 +19,6 @@ let solve_incremental (config : Types.config) w t0 =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
@@ -67,15 +62,10 @@ let solve_incremental (config : Types.config) w t0 =
         | None -> false)
     | None -> false
   in
-  let first = ref true in
   let rec loop () =
     if Common.over_deadline config || peer_closed () then bounds ()
     else begin
       Common.Tally.sat_call tally;
-      if !first then first := false
-      else
-        Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-          ~learnts:(Solver.num_learnts s);
       let bound = Itotalizer.at_most sink tot !lambda in
       let assumptions =
         let acc = ref (match bound with None -> [] | Some l -> [ l ]) in
@@ -134,125 +124,8 @@ let solve_incremental (config : Types.config) w t0 =
   in
   try loop () with Msu_guard.Guard.Interrupt _ -> bounds ()
 
-(* ------------------------------------------------------------------ *)
-(* Rebuild path (ablation baseline): fresh solver per iteration.        *)
-(* ------------------------------------------------------------------ *)
-
-type state = {
-  w : Wcnf.t;
-  config : Types.config;
-  tally : Common.Tally.t;
-  block : Lit.var option array;
-  mutable next_var : int;
-  mutable vb : Lit.t list;
-  mutable n_vb : int;
-  mutable lambda : int;
-}
-
-let fresh st =
-  let v = st.next_var in
-  st.next_var <- v + 1;
-  v
-
-let build st =
-  Common.Tally.build st.tally;
-  let s = Solver.create () in
-  Common.attach_tracer st.config s;
-  Common.attach_share st.config s;
-  Solver.ensure_vars s st.next_var;
-  Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) st.w;
-  Wcnf.iter_soft
-    (fun i c _ ->
-      match st.block.(i) with
-      | None -> Solver.add_clause ~id:i s c
-      | Some b -> Solver.add_clause s (Array.append c [| Lit.pos b |]))
-    st.w;
-  let sink =
-    Sink.
-      {
-        fresh_var =
-          (fun () ->
-            let v = fresh st in
-            Solver.ensure_vars s (v + 1);
-            v);
-        emit =
-          (fun c ->
-            Common.Tally.encoded st.tally 1;
-            Solver.add_clause s c);
-      }
-  in
-  Common.card_event st.config ~arity:(List.length st.vb) ~bound:st.lambda;
-  Card.at_most ?guard:st.config.Types.guard sink st.config.encoding
-    (Array.of_list st.vb) st.lambda;
-  Solver.on_event s (Common.event st.config);
-  s
-
-let solve_rebuild config w t0 =
-  let st =
-    {
-      w;
-      config;
-      tally = Common.tally config;
-      block = Array.make (max (Wcnf.num_soft w) 1) None;
-      next_var = Wcnf.num_vars w;
-      vb = [];
-      n_vb = 0;
-      lambda = 0;
-    }
-  in
-  let finish outcome model =
-    Common.finish config ~t0 ~stats:(Common.Tally.snapshot st.tally) outcome model
-  in
-  let rec loop s =
-    if Common.over_deadline config then
-      finish (Types.Bounds { lb = st.lambda; ub = None }) None
-    else begin
-      Common.Tally.sat_call st.tally;
-      match
-        Common.sat_call_span config s (fun () ->
-            Solver.solve ~deadline:config.deadline ?guard:config.guard s)
-      with
-      | Solver.Unknown -> finish (Types.Bounds { lb = st.lambda; ub = None }) None
-      | Solver.Sat ->
-          Common.trace config (fun () -> Printf.sprintf "SAT: optimum %d" st.lambda);
-          finish (Types.Optimum st.lambda) (Some (Solver.model s))
-      | Solver.Unsat -> (
-          match Common.span config "core_extract" (fun () -> Solver.unsat_core s) with
-          | [] when st.lambda >= st.n_vb ->
-              (* The bound was vacuous, all relaxed clauses are
-                 satisfiable through their blocking variables, and the
-                 core avoids every unrelaxed soft clause: the hard
-                 clauses alone are contradictory. *)
-              finish Types.Hard_unsat None
-          | core ->
-              if core <> [] then
-                Common.Tally.core ~size:(List.length core)
-                  ~fresh_blocking:(List.length core) st.tally;
-              List.iter
-                (fun i ->
-                  let b = fresh st in
-                  st.block.(i) <- Some b;
-                  st.vb <- Lit.pos b :: st.vb;
-                  st.n_vb <- st.n_vb + 1;
-                  Common.Tally.blocking_var st.tally)
-                core;
-              st.lambda <- st.lambda + 1;
-              Common.note_lb config st.lambda;
-              Common.note_marker config
-                (Msu_guard.Guard.Progress.Core_rounds st.lambda);
-              Common.trace config (fun () ->
-                  Printf.sprintf "UNSAT: %d newly relaxed, lambda now %d"
-                    (List.length core) st.lambda);
-              loop (Common.span config "rebuild" (fun () -> build st)))
-    end
-  in
-  try loop (Common.span config "rebuild" (fun () -> build st))
-  with Msu_guard.Guard.Interrupt _ ->
-    finish (Types.Bounds { lb = st.lambda; ub = None }) None
-
 let solve ?(config = Types.default_config) w =
   Common.require_unit_weights w;
   let config = Common.with_guard config in
   let t0 = Unix.gettimeofday () in
-  if config.Types.incremental then solve_incremental config w t0
-  else solve_rebuild config w t0
+  solve_incremental config w t0

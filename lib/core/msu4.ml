@@ -5,10 +5,6 @@ module Card = Msu_card.Card
 module Itotalizer = Msu_card.Itotalizer
 module Sink = Msu_cnf.Sink
 
-(* ------------------------------------------------------------------ *)
-(* Incremental path: one persistent solver for the whole solve.         *)
-(* ------------------------------------------------------------------ *)
-
 (* Soft clauses enter under selectors, so a core is the subset of failed
    assumptions instead of a resolution trace, and relaxing a clause is
    dropping its assumption — the selector doubles as the paper's
@@ -24,7 +20,6 @@ let solve_incremental (config : Types.config) w t0 =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
@@ -94,7 +89,6 @@ let solve_incremental (config : Types.config) w t0 =
       { lb = max lb (lower_bound ());
         ub = (if !ub = max_int then None else Some !ub) }
   in
-  let first = ref true in
   let last_card = ref None in
   let rec loop () =
     if Common.over_deadline config then finish (bounds_outcome ())
@@ -105,10 +99,6 @@ let solve_incremental (config : Types.config) w t0 =
         finish (gap_closed_by_peer limit)
       else begin
         Common.Tally.sat_call tally;
-        if !first then first := false
-        else
-          Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-            ~learnts:(Solver.num_learnts s);
         (* Line 30: require strictly fewer blocking variables than the
            best model (ours or a peer's) needed. *)
         let bound =
@@ -198,200 +188,8 @@ let solve_incremental (config : Types.config) w t0 =
   in
   try loop () with Msu_guard.Guard.Interrupt _ -> finish (bounds_outcome ())
 
-(* ------------------------------------------------------------------ *)
-(* Rebuild path (ablation baseline).                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* Cardinality constraints are kept as abstract specifications and
-   re-encoded whenever the solver is rebuilt (rebuilds happen after
-   UNSAT iterations, because relaxing a clause rewrites it, which this
-   path cannot undo in place).  Only the tightest at-most bound is
-   kept: later bounds are over supersets of the blocking variables with
-   smaller limits, so they imply all earlier ones. *)
-type state = {
-  w : Wcnf.t;
-  config : Types.config;
-  tally : Common.Tally.t;
-  block : Lit.var option array; (* soft index -> its blocking variable *)
-  mutable next_var : int; (* global variable counter, survives rebuilds *)
-  mutable vb : Lit.t list; (* all blocking literals *)
-  mutable n_vb : int;
-  mutable at_most : (Lit.t array * int) option;
-  mutable at_least : (Lit.t array * int) list;
-  mutable ub : int; (* best cost seen; max_int before the first model *)
-  mutable best_model : bool array option;
-  mutable unsat_iters : int; (* the paper's U: a lower bound on cost *)
-}
-
-let fresh st =
-  let v = st.next_var in
-  st.next_var <- v + 1;
-  v
-
-let sink_of st s =
-  Sink.
-    {
-      fresh_var =
-        (fun () ->
-          let v = fresh st in
-          Solver.ensure_vars s (v + 1);
-          v);
-      emit =
-        (fun c ->
-          Common.Tally.encoded st.tally 1;
-          Solver.add_clause s c);
-    }
-
-let encode_bounds st s =
-  let sink = sink_of st s in
-  let guard = st.config.Types.guard in
-  (match st.at_most with
-  | Some (lits, k) ->
-      Common.card_event st.config ~arity:(Array.length lits) ~bound:k;
-      Card.at_most ?guard sink st.config.encoding lits k
-  | None -> ());
-  List.iter
-    (fun (lits, k) -> Card.at_least ?guard sink st.config.encoding lits k)
-    st.at_least
-
-(* Build phi_W from scratch: hard clauses, soft clauses in their current
-   (possibly relaxed) form, and the recorded cardinality constraints.
-   Only unrelaxed soft clauses are tracked for core extraction — the
-   algorithm never needs to know more about a core than which initial
-   clauses it contains. *)
-let build st =
-  Common.Tally.build st.tally;
-  let s = Solver.create () in
-  Solver.on_event s (Common.event st.config);
-  Common.attach_tracer st.config s;
-  Common.attach_share st.config s;
-  Solver.ensure_vars s st.next_var;
-  Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) st.w;
-  Wcnf.iter_soft
-    (fun i c _ ->
-      match st.block.(i) with
-      | None -> Solver.add_clause ~id:i s c
-      | Some b -> Solver.add_clause s (Array.append c [| Lit.pos b |]))
-    st.w;
-  encode_bounds st s;
-  s
-
-let lower_bound st = if st.ub = max_int then st.unsat_iters else min st.unsat_iters st.ub
-
-let bounds_outcome st =
-  Types.Bounds
-    { lb = lower_bound st; ub = (if st.ub = max_int then None else Some st.ub) }
-
-let solve_rebuild config w t0 =
-  let st =
-    {
-      w;
-      config;
-      tally = Common.tally config;
-      block = Array.make (max (Wcnf.num_soft w) 1) None;
-      next_var = Wcnf.num_vars w;
-      vb = [];
-      n_vb = 0;
-      at_most = None;
-      at_least = [];
-      ub = max_int;
-      best_model = None;
-      unsat_iters = 0;
-    }
-  in
-  (match Common.resume_incumbent config w with
-  | Some (cost, model) ->
-      st.ub <- cost;
-      st.best_model <- Some model
-  | None -> ());
-  let finish outcome =
-    Common.finish config ~t0 ~stats:(Common.Tally.snapshot st.tally) outcome st.best_model
-  in
-  let rec loop s =
-    if Common.over_deadline config then finish (bounds_outcome st)
-    else begin
-      Common.Tally.sat_call st.tally;
-      match
-        Common.sat_call_span config s (fun () ->
-            Solver.solve ~deadline:config.deadline ?guard:config.guard s)
-      with
-      | Solver.Unknown -> finish (bounds_outcome st)
-      | Solver.Sat ->
-          let model = Solver.model s in
-          let cost =
-            match Wcnf.cost_of_model w model with
-            | Some c -> c
-            | None -> assert false (* phi_W contains the hard clauses *)
-          in
-          Common.trace config (fun () ->
-              Printf.sprintf "SAT: cost %d (ub %s, lb %d)" cost
-                (if st.ub = max_int then "-" else string_of_int st.ub)
-                (lower_bound st));
-          if cost < st.ub then begin
-            st.ub <- cost;
-            st.best_model <- Some model;
-            Common.note_ub config cost (Some model)
-          end;
-          if st.ub = 0 || st.unsat_iters >= st.ub then finish (Types.Optimum st.ub)
-          else begin
-            (* Line 30: require strictly fewer blocking variables. *)
-            st.at_most <- Some (Array.of_list st.vb, st.ub - 1);
-            encode_bounds_incremental st s;
-            loop s
-          end
-      | Solver.Unsat -> (
-          match Common.span config "core_extract" (fun () -> Solver.unsat_core s) with
-          | [] ->
-              (* The core has no unrelaxed soft clause: the bound cannot
-                 improve (lines 21-22), or the hard clauses are refuted. *)
-              if st.ub = max_int then finish Types.Hard_unsat
-              else finish (Types.Optimum st.ub)
-          | core ->
-              Common.Tally.core ~size:(List.length core)
-                ~fresh_blocking:(List.length core) st.tally;
-              st.unsat_iters <- st.unsat_iters + 1;
-              Common.note_lb config (lower_bound st);
-              Common.note_marker config
-                (Msu_guard.Guard.Progress.Core_rounds st.unsat_iters);
-              let new_bs =
-                List.map
-                  (fun i ->
-                    let b = fresh st in
-                    st.block.(i) <- Some b;
-                    let l = Lit.pos b in
-                    st.vb <- l :: st.vb;
-                    st.n_vb <- st.n_vb + 1;
-                    Common.Tally.blocking_var st.tally;
-                    l)
-                  core
-              in
-              Common.trace config (fun () ->
-                  Printf.sprintf "UNSAT: core with %d initial clauses (U=%d)"
-                    (List.length core) st.unsat_iters);
-              if config.core_geq1 then
-                st.at_least <- (Array.of_list new_bs, 1) :: st.at_least;
-              if st.ub <> max_int && st.unsat_iters >= st.ub then
-                finish (Types.Optimum st.ub)
-              else loop (Common.span config "rebuild" (fun () -> build st)))
-    end
-  (* After a SAT iteration only a new at-most bound was recorded; emit
-     just that constraint into the live solver instead of rebuilding. *)
-  and encode_bounds_incremental st s =
-    match st.at_most with
-    | Some (lits, k) ->
-        let sink = sink_of st s in
-        Common.card_event st.config ~arity:(Array.length lits) ~bound:k;
-        Card.at_most ?guard:st.config.Types.guard sink st.config.encoding lits k
-    | None -> ()
-  in
-  (* The guard can trip inside [build]/[encode_bounds] (the guarded sink
-     raises), not just between SAT calls: salvage the current bounds. *)
-  try loop (Common.span config "rebuild" (fun () -> build st))
-  with Msu_guard.Guard.Interrupt _ -> finish (bounds_outcome st)
-
 let solve ?(config = Types.default_config) w =
   Common.require_unit_weights w;
   let config = Common.with_guard config in
   let t0 = Unix.gettimeofday () in
-  if config.Types.incremental then solve_incremental config w t0
-  else solve_rebuild config w t0
+  solve_incremental config w t0

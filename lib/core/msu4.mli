@@ -18,9 +18,12 @@
        UNSAT iterations — meets the upper bound, the optimum is
        reached.}}
 
-    The cardinality constraints are encoded per
-    {!Types.config.encoding}: [Bdd] reproduces the paper's v1,
-    [Sortnet] its v2.
+    Unlike the paper, which re-encodes [phi_W] into a fresh solver
+    after every core, one solver lives for the whole solve: soft
+    clauses sit under selectors and the at-most bound is an assumption
+    on an incremental totalizer (Martins et al., CP 2014).
+    {!Types.config.encoding} is not read, so the paper's v1 (BDD) and
+    v2 (sorting network) run the same search here.
 
     This implementation extends the paper to {e partial} MaxSAT in the
     standard way (hard clauses are never relaxed and never appear in

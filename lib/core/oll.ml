@@ -5,15 +5,11 @@ module Card = Msu_card.Card
 module Itotalizer = Msu_card.Itotalizer
 module Sink = Msu_cnf.Sink
 
-(* A "sum" is a totalizer over violation indicators with a movable
-   bound: assuming the negation of output [bound] allows at most
-   [bound] of its inputs to be violated.  OLL holds one solver for the
-   whole solve in either mode; [config.incremental] picks the counter —
-   [Lazy_tree] emits merge rows only as the bound grows (Martins et al.
-   CP 2014), [Eager_tree] is the historical build-it-all-now encoding
-   kept for ablation. *)
-type counter = Eager_tree of Card.Totalizer_tree.t | Lazy_tree of Itotalizer.t
-type sum = { counter : counter; mutable bound : int }
+(* A "sum" is an incremental totalizer over violation indicators with a
+   movable bound: assuming the negation of output [bound] allows at most
+   [bound] of its inputs to be violated.  Merge rows are emitted only as
+   the bound grows (Martins et al. CP 2014). *)
+type sum = { counter : Itotalizer.t; mutable bound : int }
 
 (* What to do when an assumption shows up in a core: a soft selector is
    simply retired; a sum assumption additionally bumps the sum's bound
@@ -43,7 +39,6 @@ let solve ?(config = Types.default_config) w =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let active : (Lit.t, source) Hashtbl.t = Hashtbl.create 64 in
@@ -68,16 +63,11 @@ let solve ?(config = Types.default_config) w =
         | None -> false)
     | None -> false
   in
-  let first = ref true in
   let rec loop () =
     if Common.over_deadline config || peer_closed () then
       finish (Types.Bounds { lb = !lb; ub = None }) None
     else begin
       Common.Tally.sat_call tally;
-      if !first then first := false
-      else
-        Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-          ~learnts:(Solver.num_learnts s);
       let assumptions =
         Array.of_seq (Seq.map fst (Hashtbl.to_seq active))
       in
@@ -114,21 +104,13 @@ let solve ?(config = Types.default_config) w =
                     | Soft -> ()
                     | Sum sum -> (
                         sum.bound <- sum.bound + 1;
-                        match sum.counter with
-                        | Eager_tree tree ->
-                            let outs = Card.Totalizer_tree.outputs tree in
-                            if sum.bound < Array.length outs then
-                              Hashtbl.replace active
-                                (Lit.neg outs.(sum.bound))
-                                (Sum sum)
-                        | Lazy_tree tree -> (
-                            match
-                              Itotalizer.at_most
-                                (guarded (tally_sink tally s))
-                                tree sum.bound
-                            with
-                            | Some l -> Hashtbl.replace active l (Sum sum)
-                            | None -> ())));
+                        match
+                          Itotalizer.at_most
+                            (guarded (tally_sink tally s))
+                            sum.counter sum.bound
+                        with
+                        | Some l -> Hashtbl.replace active l (Sum sum)
+                        | None -> ()));
                     Lit.neg a)
                   core
               in
@@ -140,27 +122,14 @@ let solve ?(config = Types.default_config) w =
               Common.span config "totalizer_extend" (fun () ->
                   match indicators with
               | [] | [ _ ] -> ()
-              | _ when config.Types.incremental ->
+              | _ ->
                   Common.card_event config ~arity:(List.length indicators) ~bound:1;
                   let sink = guarded (tally_sink tally s) in
                   let tree = Itotalizer.create sink (Array.of_list indicators) in
                   (match Itotalizer.at_most sink tree 1 with
                   | Some l ->
-                      Hashtbl.replace active l
-                        (Sum { counter = Lazy_tree tree; bound = 1 })
-                  | None -> ())
-              | _ ->
-                  Common.card_event config ~arity:(List.length indicators) ~bound:1;
-                  let tree =
-                    Card.Totalizer_tree.build
-                      (guarded (tally_sink tally s))
-                      (Array.of_list indicators)
-                  in
-                  let outs = Card.Totalizer_tree.outputs tree in
-                  if Array.length outs > 1 then
-                    Hashtbl.replace active
-                      (Lit.neg outs.(1))
-                      (Sum { counter = Eager_tree tree; bound = 1 }));
+                      Hashtbl.replace active l (Sum { counter = tree; bound = 1 })
+                  | None -> ()));
               Common.maybe_inprocess config s;
               loop ())
     end

@@ -24,7 +24,6 @@ let build_relaxed config tally w =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let blocks =
@@ -36,25 +35,14 @@ let build_relaxed config tally w =
   in
   (s, blocks)
 
-(* "Objective < cost": cardinality encoding for unit weights (the
-   minisat+ path the paper used), generalized totalizer otherwise. *)
-let constrain_below config tally s blocks cost =
-  let sink = tally_sink tally s in
-  let guard = config.Types.guard in
-  Common.card_event config ~arity:(Array.length blocks) ~bound:(cost - 1);
-  if Array.for_all (fun (_, w) -> w = 1) blocks then
-    Card.at_most ?guard sink config.Types.encoding (Array.map fst blocks) (cost - 1)
-  else Gte.at_most ?guard sink blocks (cost - 1)
-
-(* Linear search, incremental flavour: "objective < cost" becomes
-   assumptions over one reusable counter instead of permanently emitted
-   clauses, so each improved model adds only the counter rows the new
-   bound needs and the final Unsat answer still proves optimality (the
-   bound assumption is the only thing refuted, and it mirrors a clause
-   the rebuild path would have asserted).  Unit weights use the
-   incremental totalizer; general weights the generalized totalizer,
-   built lazily and capped at the first model's cost. *)
-let linear_incremental config tally w t0 =
+(* Linear search: "objective < cost" becomes assumptions over one
+   reusable counter instead of permanently emitted clauses, so each
+   improved model adds only the counter rows the new bound needs and
+   the final Unsat answer still proves optimality (the bound assumption
+   is the only thing refuted).  Unit weights use the incremental
+   totalizer; general weights the generalized totalizer, built lazily
+   and capped at the first model's cost. *)
+let linear config tally w t0 =
   let s, blocks = build_relaxed config tally w in
   let finish outcome model =
     Common.finish config ~t0 ~stats:(Common.Tally.snapshot tally) outcome model
@@ -102,15 +90,10 @@ let linear_incremental config tally w t0 =
       best := Some (cost, model);
       Common.note_marker config (Msu_guard.Guard.Progress.At_most cost)
   | _ -> ());
-  let first = ref true in
   let rec loop () =
     if Common.over_deadline config then bounds ()
     else begin
       Common.Tally.sat_call tally;
-      if !first then first := false
-      else
-        Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-          ~learnts:(Solver.num_learnts s);
       let assumptions =
         match !best with
         | None -> [||]
@@ -149,57 +132,6 @@ let linear_incremental config tally w t0 =
   in
   try loop () with Msu_guard.Guard.Interrupt _ -> bounds ()
 
-let linear config tally w t0 =
-  let s, blocks = build_relaxed config tally w in
-  let finish outcome model =
-    Common.finish config ~t0 ~stats:(Common.Tally.snapshot tally) outcome model
-  in
-  let best = ref None in
-  (* Warm resume: constrain below the re-verified incumbent right away
-     so every model found is a strict improvement (the loop's invariant)
-     and an immediate Unsat proves the checkpointed cost optimal. *)
-  (match Common.resume_incumbent config w with
-  | Some (cost, model) when cost > 0 ->
-      best := Some (cost, model);
-      Common.note_marker config (Msu_guard.Guard.Progress.At_most cost);
-      constrain_below config tally s blocks cost
-  | _ -> ());
-  let rec loop () =
-    if Common.over_deadline config then bounds ()
-    else begin
-      Common.Tally.sat_call tally;
-      match
-        Common.sat_call_span config s (fun () ->
-            Solver.solve ~deadline:config.deadline ?guard:config.Types.guard s)
-      with
-      | Solver.Unknown -> bounds ()
-      | Solver.Unsat -> (
-          match !best with
-          | None -> finish Types.Hard_unsat None
-          | Some (cost, model) -> finish (Types.Optimum cost) (Some model))
-      | Solver.Sat ->
-          let model = Solver.model s in
-          let cost =
-            match Wcnf.cost_of_model w model with Some c -> c | None -> assert false
-          in
-          Common.trace config (fun () -> Printf.sprintf "SAT: cost %d" cost);
-          best := Some (cost, model);
-          Common.note_ub config cost (Some model);
-          Common.note_marker config (Msu_guard.Guard.Progress.At_most cost);
-          if cost = 0 then finish (Types.Optimum 0) (Some model)
-          else begin
-            constrain_below config tally s blocks cost;
-            loop ()
-          end
-    end
-  and bounds () =
-    match !best with
-    | None -> finish (Types.Bounds { lb = 0; ub = None }) None
-    | Some (cost, model) ->
-        finish (Types.Bounds { lb = 0; ub = Some cost }) (Some model)
-  in
-  try loop () with Msu_guard.Guard.Interrupt _ -> bounds ()
-
 let binary config tally w t0 =
   let s, blocks = build_relaxed config tally w in
   let finish outcome model =
@@ -220,14 +152,9 @@ let binary config tally w t0 =
   (match config.Types.resume with
   | Some ck -> lo := max !lo ck.Msu_guard.Checkpoint.lb
   | None -> ());
-  let first = ref true in
   let solve_with_bound k =
     let deadline = config.Types.deadline in
     Common.Tally.sat_call tally;
-    if !first then first := false
-    else
-      Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-        ~learnts:(Solver.num_learnts s);
     let assumptions =
       match k with
       | None -> [||]
@@ -299,7 +226,5 @@ let solve ?(config = Types.default_config) ?(search = `Linear) w =
   let t0 = Unix.gettimeofday () in
   let tally = Common.tally config in
   match search with
-  | `Linear ->
-      if config.Types.incremental then linear_incremental config tally w t0
-      else linear config tally w t0
+  | `Linear -> linear config tally w t0
   | `Binary -> binary config tally w t0

@@ -18,7 +18,8 @@ val solve :
   Msu_cnf.Wcnf.t ->
   Types.result
 (** Default search is [`Linear] (minisat+'s default minimization
-    strategy).  Unit-weight instances use {!Types.config.encoding} for
-    the bound; weighted instances use the generalized totalizer
-    ({!Msu_card.Gte}).  [`Binary] bisects over one reusable counter with
-    assumption literals.  Arbitrary positive weights are accepted. *)
+    strategy), with each bound an assumption over one reusable counter:
+    the incremental totalizer for unit weights, the generalized
+    totalizer ({!Msu_card.Gte}) otherwise.  [`Binary] bisects over one
+    reusable generalized totalizer with assumption literals.  Arbitrary
+    positive weights are accepted. *)

@@ -9,9 +9,6 @@ type stats = {
   cores : int;
   blocking_vars : int;
   encoding_clauses : int;
-  rebuilds : int;
-  clauses_reused : int;
-  learnts_kept : int;
 }
 
 type result = {
@@ -33,7 +30,6 @@ type config = {
   max_memory_words : int option;
   encoding : Msu_card.Card.encoding;
   core_geq1 : bool;
-  incremental : bool;
   inprocess : bool;
       (* let the persistent solver run inprocessing passes (BVE,
          subsumption, probing) at restart boundaries and after core
@@ -62,7 +58,6 @@ let default_config =
     max_memory_words = None;
     encoding = Msu_card.Card.Sortnet;
     core_geq1 = true;
-    incremental = true;
     inprocess = true;
     sink = Msu_obs.Obs.null;
     solve_id = 0;
@@ -79,9 +74,6 @@ let empty_stats =
     cores = 0;
     blocking_vars = 0;
     encoding_clauses = 0;
-    rebuilds = 0;
-    clauses_reused = 0;
-    learnts_kept = 0;
   }
 
 let merge_stats a b =
@@ -90,9 +82,6 @@ let merge_stats a b =
     cores = a.cores + b.cores;
     blocking_vars = a.blocking_vars + b.blocking_vars;
     encoding_clauses = a.encoding_clauses + b.encoding_clauses;
-    rebuilds = a.rebuilds + b.rebuilds;
-    clauses_reused = a.clauses_reused + b.clauses_reused;
-    learnts_kept = a.learnts_kept + b.learnts_kept;
   }
 
 let outcome_bounds = function

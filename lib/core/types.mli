@@ -20,15 +20,6 @@ type stats = {
   cores : int;  (** unsatisfiable cores extracted *)
   blocking_vars : int;  (** relaxation variables introduced *)
   encoding_clauses : int;  (** clauses emitted by cardinality encoders *)
-  rebuilds : int;
-      (** solver reconstructions after the first build; 0 when the solve
-          kept one solver alive throughout *)
-  clauses_reused : int;
-      (** problem clauses already in the solver at the start of each SAT
-          call after the first — work a rebuilding solve would redo *)
-  learnts_kept : int;
-      (** learnt clauses carried into each SAT call after the first —
-          rebuild-mode solves always restart from zero *)
 }
 
 type result = {
@@ -63,20 +54,18 @@ type config = {
   max_memory_words : int option;
       (** live-heap budget, in OCaml heap words ({!Gc.quick_stat}) *)
   encoding : Msu_card.Card.encoding;
-      (** cardinality encoding: [Bdd] gives msu4-v1, [Sortnet] msu4-v2 *)
+      (** cardinality encoding of [Lexico]'s level hardening, its one
+          reader: no algorithm [Maxsat.solve] dispatches reads it, so
+          msu4-v1 ([Bdd]) and msu4-v2 ([Sortnet]) run the same search *)
   core_geq1 : bool;
       (** msu4's optional "at least one new blocking variable" constraint
           (Algorithm 1, line 19) *)
-  incremental : bool;
-      (** keep one SAT solver alive for the whole solve (selectors for
-          soft clauses, incremental totalizers for bounds); [false]
-          selects the historical rebuild-per-iteration path for ablation *)
   inprocess : bool;
       (** let the persistent solver simplify its clause database between
           core rounds and at restart boundaries (bounded variable
           elimination, subsumption, failed-literal probing); selectors
           and encoding variables are frozen, so optima are unaffected.
-          Ignored on the non-incremental paths and under DRUP logging *)
+          Ignored under DRUP logging *)
   sink : Msu_obs.Obs.sink;
       (** where the solve publishes its typed event stream ({!Msu_obs.Obs.Event});
           [Obs.null] disables observability at one branch per event *)
@@ -106,7 +95,7 @@ type config = {
 
 val default_config : config
 (** No deadline or budgets, [Sortnet] encoding (the paper's stronger
-    v2), [core_geq1 = true], [incremental = true], null event sink, no
+    v2), [core_geq1 = true], inprocessing on, null event sink, no
     shared guard. *)
 
 val empty_stats : stats

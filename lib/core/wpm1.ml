@@ -4,18 +4,14 @@ module Solver = Msu_sat.Solver
 module Sink = Msu_cnf.Sink
 
 (* Soft clauses are dynamic here: cores split them.  Each live soft
-   clause carries its current weight and accumulated blocking
-   literals (and, on the incremental path, its current selector). *)
+   clause carries its current weight, accumulated blocking literals and
+   current selector. *)
 type soft = {
   lits : Lit.t array;
   mutable weight : int;
   mutable blocks : Lit.t list;
   mutable sel : Lit.t;
 }
-
-(* ------------------------------------------------------------------ *)
-(* Incremental path: one persistent solver for the whole solve.         *)
-(* ------------------------------------------------------------------ *)
 
 (* The weighted Fu & Malik transformation, with activation literals.
    Splitting a core clause of weight [w > wmin] pushes a fresh copy
@@ -30,7 +26,6 @@ let solve_incremental (config : Types.config) w t0 =
   Common.attach_tracer config s;
   Common.attach_share config s;
   Common.setup_inprocess config s;
-  Common.Tally.build tally;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let softs = Msu_cnf.Vec.create ~dummy:{ lits = [||]; weight = 0; blocks = []; sel = Lit.pos 0 } in
@@ -79,15 +74,10 @@ let solve_incremental (config : Types.config) w t0 =
         | None -> false)
     | None -> false
   in
-  let first = ref true in
   let rec loop () =
     if Common.over_deadline config || peer_closed () then bounds ()
     else begin
       Common.Tally.sat_call tally;
-      if !first then first := false
-      else
-        Common.Tally.reused tally ~clauses:(Solver.num_clauses s)
-          ~learnts:(Solver.num_learnts s);
       let assumptions =
         Array.init (Msu_cnf.Vec.size softs) (fun i ->
             Lit.neg (Msu_cnf.Vec.get softs i).sel)
@@ -162,137 +152,7 @@ let solve_incremental (config : Types.config) w t0 =
   in
   try loop () with Msu_guard.Guard.Interrupt _ -> bounds ()
 
-(* ------------------------------------------------------------------ *)
-(* Rebuild path (ablation baseline).                                    *)
-(* ------------------------------------------------------------------ *)
-
-type state = {
-  w : Wcnf.t;
-  tally : Common.Tally.t;
-  softs : soft Msu_cnf.Vec.t;
-  aux : Lit.t array list ref;
-  mutable next_var : int;
-}
-
-let fresh st =
-  let v = st.next_var in
-  st.next_var <- v + 1;
-  v
-
-let aux_sink st =
-  Sink.
-    {
-      fresh_var = (fun () -> fresh st);
-      emit =
-        (fun c ->
-          Common.Tally.encoded st.tally 1;
-          st.aux := c :: !(st.aux));
-    }
-
-let build st =
-  Common.Tally.build st.tally;
-  let s = Solver.create () in
-  Solver.ensure_vars s st.next_var;
-  Wcnf.iter_hard (fun _ c -> Solver.add_clause s c) st.w;
-  Msu_cnf.Vec.iteri
-    (fun i soft ->
-      match soft.blocks with
-      | [] -> Solver.add_clause ~id:i s soft.lits
-      | bs -> Solver.add_clause ~id:i s (Array.append soft.lits (Array.of_list bs)))
-    st.softs;
-  List.iter (fun c -> Solver.add_clause s c) !(st.aux);
-  s
-
-let solve_rebuild config w t0 =
-  let st =
-    {
-      w;
-      tally = Common.tally config;
-      softs = Msu_cnf.Vec.create ~dummy:{ lits = [||]; weight = 0; blocks = []; sel = Lit.pos 0 };
-      aux = ref [];
-      next_var = Wcnf.num_vars w;
-    }
-  in
-  Wcnf.iter_soft
-    (fun _ c weight ->
-      Msu_cnf.Vec.push st.softs { lits = c; weight; blocks = []; sel = Lit.pos 0 })
-    w;
-  let build st =
-    Common.span config "rebuild" (fun () ->
-        let s = build st in
-        Solver.on_event s (Common.event config);
-        Common.attach_tracer config s;
-        s)
-  in
-  let finish outcome model =
-    Common.finish config ~t0 ~stats:(Common.Tally.snapshot st.tally) outcome model
-  in
-  let cost = ref 0 in
-  let rounds = ref 0 in
-  let rec loop s =
-    if Common.over_deadline config then
-      finish (Types.Bounds { lb = !cost; ub = None }) None
-    else begin
-      Common.Tally.sat_call st.tally;
-      match
-        Common.sat_call_span config s (fun () ->
-            Solver.solve ~deadline:config.deadline ?guard:config.guard s)
-      with
-      | Solver.Unknown -> finish (Types.Bounds { lb = !cost; ub = None }) None
-      | Solver.Sat ->
-          Common.trace config (fun () -> Printf.sprintf "SAT: optimum %d" !cost);
-          finish (Types.Optimum !cost) (Some (Solver.model s))
-      | Solver.Unsat -> (
-          match Common.span config "core_extract" (fun () -> Solver.unsat_core s) with
-          | [] -> finish Types.Hard_unsat None
-          | core ->
-              Common.Tally.core ~size:(List.length core)
-                ~fresh_blocking:(List.length core) st.tally;
-              let wmin =
-                List.fold_left
-                  (fun acc i -> min acc (Msu_cnf.Vec.get st.softs i).weight)
-                  max_int core
-              in
-              let new_bs =
-                List.map
-                  (fun i ->
-                    let soft = Msu_cnf.Vec.get st.softs i in
-                    (* Split the weight: the remainder survives as a
-                       fresh unrelaxed copy. *)
-                    if soft.weight > wmin then
-                      Msu_cnf.Vec.push st.softs
-                        {
-                          lits = soft.lits;
-                          weight = soft.weight - wmin;
-                          blocks = soft.blocks;
-                          sel = Lit.pos 0;
-                        };
-                    let b = Lit.pos (fresh st) in
-                    soft.weight <- wmin;
-                    soft.blocks <- b :: soft.blocks;
-                    Common.Tally.blocking_var st.tally;
-                    b)
-                  core
-              in
-              Common.card_event config ~arity:(List.length new_bs) ~bound:1;
-              Msu_card.Card.exactly_one (aux_sink st) (Array.of_list new_bs);
-              cost := !cost + wmin;
-              incr rounds;
-              Common.note_lb config !cost;
-              Common.note_marker config
-                (Msu_guard.Guard.Progress.Core_rounds !rounds);
-              Common.trace config (fun () ->
-                  Printf.sprintf "UNSAT: core of %d softs, wmin %d, cost now %d"
-                    (List.length core) wmin !cost);
-              loop (build st))
-    end
-  in
-  try loop (build st)
-  with Msu_guard.Guard.Interrupt _ ->
-    finish (Types.Bounds { lb = !cost; ub = None }) None
-
 let solve ?(config = Types.default_config) w =
   let config = Common.with_guard config in
   let t0 = Unix.gettimeofday () in
-  if config.Types.incremental then solve_incremental config w t0
-  else solve_rebuild config w t0
+  solve_incremental config w t0

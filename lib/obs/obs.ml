@@ -31,7 +31,6 @@ module Event = struct
     | Card_constraint of { arity : int; bound : int }
     | Restart
     | Reduce_db of { kept : int }
-    | Rebuild
     | Cache_hit
     | Cache_miss
     | Queue_enqueue of { depth : int }
@@ -68,7 +67,6 @@ module Event = struct
         Printf.sprintf "card: at-most %d over %d lits" bound arity
     | Restart -> "restart"
     | Reduce_db { kept } -> Printf.sprintf "reduce db: kept %d learnts" kept
-    | Rebuild -> "rebuild"
     | Cache_hit -> "cache hit"
     | Cache_miss -> "cache miss"
     | Queue_enqueue { depth } -> Printf.sprintf "enqueue (depth %d)" depth
@@ -104,7 +102,6 @@ module Event = struct
       | Card_constraint { arity; bound } -> Printf.sprintf "card %d %d" arity bound
       | Restart -> "restart"
       | Reduce_db { kept } -> Printf.sprintf "reduce_db %d" kept
-      | Rebuild -> "rebuild"
       | Cache_hit -> "cache_hit"
       | Cache_miss -> "cache_miss"
       | Queue_enqueue { depth } -> Printf.sprintf "enqueue %d" depth
@@ -138,7 +135,6 @@ module Event = struct
     | "card" -> Some (int2 (fun arity bound -> Card_constraint { arity; bound }))
     | "restart" -> Some Restart
     | "reduce_db" -> Some (Reduce_db { kept = int1 () })
-    | "rebuild" -> Some Rebuild
     | "cache_hit" -> Some Cache_hit
     | "cache_miss" -> Some Cache_miss
     | "enqueue" -> Some (Queue_enqueue { depth = int1 () })
@@ -212,7 +208,6 @@ module Event = struct
           Printf.sprintf {|"ev":"card","arity":%d,"bound":%d|} arity bound
       | Restart -> {|"ev":"restart"|}
       | Reduce_db { kept } -> Printf.sprintf {|"ev":"reduce_db","kept":%d|} kept
-      | Rebuild -> {|"ev":"rebuild"|}
       | Cache_hit -> {|"ev":"cache_hit"|}
       | Cache_miss -> {|"ev":"cache_miss"|}
       | Queue_enqueue { depth } ->
@@ -355,7 +350,6 @@ module Event = struct
         | "reduce_db" ->
             let* kept = int_field "kept" in
             Some (Reduce_db { kept })
-        | "rebuild" -> Some Rebuild
         | "cache_hit" -> Some Cache_hit
         | "cache_miss" -> Some Cache_miss
         | "enqueue" ->
@@ -1055,7 +1049,6 @@ module Chrome = struct
     | Event.Card_constraint _ -> "card"
     | Event.Restart -> "restart"
     | Event.Reduce_db _ -> "reduce_db"
-    | Event.Rebuild -> "rebuild"
     | Event.Cache_hit -> "cache_hit"
     | Event.Cache_miss -> "cache_miss"
     | Event.Queue_enqueue _ -> "enqueue"

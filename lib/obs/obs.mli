@@ -34,7 +34,6 @@ module Event : sig
         (** cardinality constraint [≤ bound] encoded over [arity] literals *)
     | Restart  (** CDCL restart *)
     | Reduce_db of { kept : int }  (** learnt-clause DB reduction *)
-    | Rebuild  (** solver reconstructed (non-incremental path) *)
     | Cache_hit
     | Cache_miss
     | Queue_enqueue of { depth : int }  (** depth {e after} the push *)

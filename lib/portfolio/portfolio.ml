@@ -11,11 +11,10 @@ type spec = {
   label : string;
   algorithm : M.algorithm;
   encoding : Msu_card.Card.encoding;
-  incremental : bool;
   fault : Fault.kind option;
 }
 
-let spec ?encoding ?(incremental = true) ?fault algorithm =
+let spec ?encoding ?fault algorithm =
   let encoding =
     match encoding with
     | Some e -> e
@@ -28,31 +27,27 @@ let spec ?encoding ?(incremental = true) ?fault algorithm =
     match algorithm with
     | M.Sls -> "sls" (* no encoding, no solver: the suffix would only mislead *)
     | _ ->
-        Printf.sprintf "%s/%s%s"
+        Printf.sprintf "%s/%s"
           (M.algorithm_to_string algorithm)
           (Msu_card.Card.encoding_to_string encoding)
-          (if incremental then "" else "/rebuild")
   in
-  { label; algorithm; encoding; incremental; fault }
+  { label; algorithm; encoding; fault }
 
-(* Diversity order: the paper's two msu4 variants first, then the other
-   core-guided algorithms, then encoding/rebuild ablation variants.  No
-   duplicates past the list — racing two identical configs buys
-   nothing. *)
+(* Diversity order: the paper's msu4 first, then the other core-guided
+   algorithms, then the PBO baselines and branch and bound.  Each entry
+   runs a different search: msu4-v1 is left out because it runs
+   msu4-v2's search (the encoding is not read), and msu1 because it
+   runs wpm1's on unit weights and cannot run on weighted instances.
+   Racing two identical searches buys nothing. *)
 let default_specs n =
   let base =
     [
       spec M.Msu4_v2;
       spec M.Msu3;
       spec M.Oll;
-      spec M.Msu4_v1;
-      spec ~encoding:Msu_card.Card.Totalizer M.Msu3;
       spec M.Wpm1;
       spec M.Pbo_linear;
-      spec M.Msu1;
-      spec ~incremental:false M.Msu4_v2;
       spec M.Pbo_binary;
-      spec ~incremental:false M.Msu3;
       spec M.Branch_bound;
     ]
   in
@@ -418,7 +413,6 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
       T.deadline;
       max_conflicts;
       encoding = sp.encoding;
-      incremental = sp.incremental;
       sink;
       solve_id = index;
       guard = Some guard;

@@ -1,7 +1,7 @@
 (** Process-parallel algorithm portfolio with live bound sharing.
 
     One instance, [N] forked workers, each running a different
-    algorithm/encoding configuration.  Workers publish every improved
+    algorithm.  Workers publish every improved
     lower/upper bound to the parent over a pipe; the parent keeps the
     best global bracket and rebroadcasts it, and each worker installs
     the broadcast through its {!Msu_guard.Guard} — msu4 tightens its
@@ -84,7 +84,9 @@ type spec = {
   label : string;
   algorithm : Msu_maxsat.Maxsat.algorithm;
   encoding : Msu_card.Card.encoding;
-  incremental : bool;
+      (** passed to the worker as [config.encoding], which no algorithm
+          a spec can name reads: it labels the worker and changes no
+          search *)
   fault : Msu_guard.Fault.kind option;
       (** armed inside the worker before solving — tests inject worker
           crashes with this *)
@@ -92,18 +94,16 @@ type spec = {
 
 val spec :
   ?encoding:Msu_card.Card.encoding ->
-  ?incremental:bool ->
   ?fault:Msu_guard.Fault.kind ->
   Msu_maxsat.Maxsat.algorithm ->
   spec
-(** Encoding defaults to the algorithm's paper configuration (BDD for
-    msu4-v1, sorting networks otherwise); [incremental] defaults to
-    [true]. *)
+(** Encoding defaults to the algorithm's paper label (BDD for msu4-v1,
+    sorting networks otherwise). *)
 
 val default_specs : int -> spec list
-(** The first [n] of a fixed diversity order (msu4-v2, msu3, oll,
-    msu4-v1, …, rebuild variants); capped at the number of distinct
-    configurations. *)
+(** The first [n] of a fixed diversity order (msu4-v2, msu3, oll, wpm1,
+    pbo, pbo-binary, maxsatz); capped at these seven, each a different
+    search. *)
 
 type worker_report = {
   w_label : string;

@@ -1,8 +1,7 @@
 (* Arena-solver coverage: watcher/arena invariants around compaction,
    the retired-clause watcher leak, and seed-swept equivalence of the
    arena solver against brute-force references — directly and through
-   every MaxSAT algorithm, incremental and not, under
-   retire_selector-heavy schedules. *)
+   every MaxSAT algorithm, under retire_selector-heavy schedules. *)
 
 module Solver = Msu_sat.Solver
 module Formula = Msu_cnf.Formula
@@ -151,8 +150,7 @@ let test_watcher_leak_bounded () =
   Solver.check_invariants ~strict:true s
 
 (* Seed-swept equivalence of every MaxSAT algorithm (the arena solver
-   underneath) against exhaustive minimum cost, in both incremental and
-   rebuild modes. *)
+   underneath) against exhaustive minimum cost. *)
 let random_wcnf st =
   let n_vars = 3 + Random.State.int st 6 in
   let w = Wcnf.create () in
@@ -171,25 +169,16 @@ let test_algorithms_equivalence () =
     let expected = Wcnf.brute_force_min_cost w in
     List.iter
       (fun alg ->
-        List.iter
-          (fun incremental ->
-            let config = { T.default_config with T.incremental } in
-            let r = M.solve ~config alg w in
-            let tag =
-              Printf.sprintf "round %d %s (incremental=%b)" round
-                (M.algorithm_to_string alg) incremental
-            in
-            match (r.T.outcome, expected) with
-            | T.Optimum c, Some e when c = e ->
-                if not (T.verify_model w r) then
-                  Alcotest.failf "%s: model verification failed" tag
-            | T.Hard_unsat, None -> ()
-            | o, _ ->
-                Alcotest.failf "%s: got %a expected %s" tag T.pp_outcome o
-                  (match expected with
-                  | Some e -> string_of_int e
-                  | None -> "hard-unsat"))
-          [ true; false ])
+        let r = M.solve alg w in
+        let tag = Printf.sprintf "round %d %s" round (M.algorithm_to_string alg) in
+        match (r.T.outcome, expected) with
+        | T.Optimum c, Some e when c = e ->
+            if not (T.verify_model w r) then
+              Alcotest.failf "%s: model verification failed" tag
+        | T.Hard_unsat, None -> ()
+        | o, _ ->
+            Alcotest.failf "%s: got %a expected %s" tag T.pp_outcome o
+              (match expected with Some e -> string_of_int e | None -> "hard-unsat"))
       M.all_algorithms
   done
 

@@ -1,22 +1,17 @@
-(* Incremental vs rebuild: the two modes must be observationally
-   identical on optima, and individually sound when budgets or crashes
-   cut a run short.  Also unit-level checks for the two mechanisms the
-   incremental mode is built from: solver assumption selectors and the
-   lazily-emitted incremental totalizer. *)
+(* The persistent-solver algorithms against enumeration, and sound
+   when budgets or crashes cut a run short.  Also unit-level checks for
+   the two mechanisms they are built from: solver assumption selectors
+   and the lazily-emitted incremental totalizer. *)
 
 module Wcnf = Msu_cnf.Wcnf
 module Lit = Msu_cnf.Lit
 module Sink = Msu_cnf.Sink
 module Solver = Msu_sat.Solver
-module Card = Msu_card.Card
 module Itotalizer = Msu_card.Itotalizer
 module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
 module F = Msu_guard.Fault
 open Test_util
-
-let incremental = T.default_config
-let rebuild = { T.default_config with T.incremental = false }
 
 let with_fault kind f =
   F.arm kind;
@@ -40,159 +35,83 @@ let random_wcnf st ~partial ~weighted =
   done;
   w
 
-(* Both modes against each other and against enumeration. *)
-let check_both_modes ~round alg w expected =
-  List.iter
-    (fun (mode, config) ->
-      let r = M.solve ~config alg w in
-      match (r.T.outcome, expected) with
-      | T.Optimum c, Some e when c = e ->
-          if not (T.verify_model w r) then
-            Alcotest.failf "round %d %s (%s): model verification failed" round
-              (M.algorithm_to_string alg) mode
-      | T.Hard_unsat, None -> ()
-      | o, _ ->
-          Alcotest.failf "round %d %s (%s): got %a expected %s" round
-            (M.algorithm_to_string alg) mode T.pp_outcome o
-            (match expected with Some e -> string_of_int e | None -> "hard-unsat"))
-    [ ("incremental", incremental); ("rebuild", rebuild) ]
+let check_against_enumeration ~round alg w expected =
+  let r = M.solve alg w in
+  match (r.T.outcome, expected) with
+  | T.Optimum c, Some e when c = e ->
+      if not (T.verify_model w r) then
+        Alcotest.failf "round %d %s: model verification failed" round
+          (M.algorithm_to_string alg)
+  | T.Hard_unsat, None -> ()
+  | o, _ ->
+      Alcotest.failf "round %d %s: got %a expected %s" round
+        (M.algorithm_to_string alg) T.pp_outcome o
+        (match expected with Some e -> string_of_int e | None -> "hard-unsat")
 
 let unweighted_algorithms =
   [ M.Msu1; M.Msu2; M.Msu3; M.Msu4_v1; M.Msu4_v2; M.Oll; M.Pbo_linear; M.Pbo_binary ]
 
-let cross_modes ~partial ~weighted ~algorithms ~rounds ~seed () =
+let sweep ~partial ~weighted ~algorithms ~rounds ~seed () =
   let st = Random.State.make [| seed |] in
   for round = 1 to rounds do
     let w = random_wcnf st ~partial ~weighted in
     let expected = Wcnf.brute_force_min_cost w in
-    List.iter (fun alg -> check_both_modes ~round alg w expected) algorithms
+    List.iter (fun alg -> check_against_enumeration ~round alg w expected) algorithms
   done
 
-let test_modes_agree_plain =
-  cross_modes ~partial:false ~weighted:false ~algorithms:unweighted_algorithms
-    ~rounds:25 ~seed:0x1AC1
+let test_plain =
+  sweep ~partial:false ~weighted:false ~algorithms:unweighted_algorithms ~rounds:25
+    ~seed:0x1AC1
 
-let test_modes_agree_partial =
-  cross_modes ~partial:true ~weighted:false ~algorithms:unweighted_algorithms
-    ~rounds:25 ~seed:0x1AC2
+let test_partial =
+  sweep ~partial:true ~weighted:false ~algorithms:unweighted_algorithms ~rounds:25
+    ~seed:0x1AC2
 
-let test_modes_agree_weighted =
-  cross_modes ~partial:true ~weighted:true
+let test_weighted =
+  sweep ~partial:true ~weighted:true
     ~algorithms:[ M.Wpm1; M.Pbo_linear; M.Pbo_binary ]
     ~rounds:25 ~seed:0x1AC3
 
-(* The five cardinality encodings feed msu3/msu4's rebuild path and the
-   incremental paths' plain at-most constraints; every (encoding, mode)
-   cell must agree. *)
-let test_all_encodings_both_modes () =
-  let st = Random.State.make [| 0x1AC4 |] in
-  for round = 1 to 6 do
-    let w = random_wcnf st ~partial:true ~weighted:false in
-    let expected = Wcnf.brute_force_min_cost w in
-    List.iter
-      (fun enc ->
-        List.iter
-          (fun (mode, config) ->
-            let config = { config with T.encoding = enc } in
-            List.iter
-              (fun alg ->
-                let r = M.solve ~config alg w in
-                match (r.T.outcome, expected) with
-                | T.Optimum c, Some e when c = e -> ()
-                | T.Hard_unsat, None -> ()
-                | o, _ ->
-                    Alcotest.failf "round %d %s/%s (%s): got %a" round
-                      (M.algorithm_to_string alg)
-                      (Card.encoding_to_string enc)
-                      mode T.pp_outcome o)
-              [ M.Msu3; M.Msu4_v2; M.Pbo_linear ])
-          [ ("incremental", incremental); ("rebuild", rebuild) ])
-      Card.all_encodings
-  done
-
-(* Budget-limited runs may stop early in either mode, but whatever they
-   report must bracket the true optimum. *)
-let test_budget_bounds_both_modes () =
+(* Budget-limited runs may stop early, but whatever they report must
+   bracket the true optimum. *)
+let test_budget_bounds () =
   let w = Wcnf.of_formula (pigeonhole 5) in
   (* true optimum: drop exactly one clause *)
   List.iter
     (fun budget ->
-      List.iter
-        (fun (mode, config) ->
-          let config = { config with T.max_conflicts = Some budget } in
-          List.iter
-            (fun alg ->
-              let r = M.solve ~config alg w in
-              match r.T.outcome with
-              | T.Optimum 1 -> ()
-              | T.Bounds { lb; ub } ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s (%s) lb sound" (M.algorithm_to_string alg) mode)
-                    true (lb <= 1);
-                  (match ub with
-                  | Some u ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s (%s) ub sound" (M.algorithm_to_string alg)
-                           mode)
-                        true (u >= 1)
-                  | None -> ())
-              | o ->
-                  Alcotest.failf "%s (%s): %a" (M.algorithm_to_string alg) mode
-                    T.pp_outcome o)
-            [ M.Msu1; M.Msu3; M.Msu4_v2; M.Oll; M.Pbo_linear ])
-        [ ("incremental", incremental); ("rebuild", rebuild) ])
-    [ 1; 10; 100 ]
-
-(* A crash mid-solve must salvage sound bounds in both modes. *)
-let test_crash_salvage_both_modes () =
-  let w = Wcnf.of_formula (pigeonhole 3) in
-  List.iter
-    (fun (mode, config) ->
+      let config = { T.default_config with T.max_conflicts = Some budget } in
       List.iter
         (fun alg ->
-          with_fault F.Crash_mid_solve (fun () ->
-              let r = M.solve_supervised ~config alg w in
-              match r.T.outcome with
-              | T.Crashed { lb; ub; _ } ->
-                  Alcotest.(check bool)
-                    (Printf.sprintf "%s (%s) lb sound" (M.algorithm_to_string alg) mode)
-                    true (lb <= 1);
-                  (match ub with
-                  | Some u ->
-                      Alcotest.(check bool)
-                        (Printf.sprintf "%s (%s) ub sound" (M.algorithm_to_string alg)
-                           mode)
-                        true (u >= 1)
-                  | None -> ())
-              | T.Optimum 1 -> () (* crash hook never reached *)
-              | o ->
-                  Alcotest.failf "%s (%s): %a" (M.algorithm_to_string alg) mode
-                    T.pp_outcome o))
-        [ M.Msu3; M.Msu4_v2; M.Pbo_linear ])
-    [ ("incremental", incremental); ("rebuild", rebuild) ]
+          let name = M.algorithm_to_string alg in
+          let r = M.solve ~config alg w in
+          match r.T.outcome with
+          | T.Optimum 1 -> ()
+          | T.Bounds { lb; ub } ->
+              Alcotest.(check bool) (name ^ " lb sound") true (lb <= 1);
+              (match ub with
+              | Some u -> Alcotest.(check bool) (name ^ " ub sound") true (u >= 1)
+              | None -> ())
+          | o -> Alcotest.failf "%s: %a" name T.pp_outcome o)
+        [ M.Msu1; M.Msu3; M.Msu4_v2; M.Oll; M.Pbo_linear ])
+    [ 1; 10; 100 ]
 
-(* ---------------- stats discipline ---------------- *)
-
-(* Multi-core instance: incremental mode builds once and reuses; rebuild
-   mode restarts the solver on every core. *)
-let test_stats_reflect_mode () =
+(* A crash mid-solve must salvage sound bounds. *)
+let test_crash_salvage () =
   let w = Wcnf.of_formula (pigeonhole 3) in
   List.iter
     (fun alg ->
-      let ri = M.solve ~config:incremental alg w in
-      Alcotest.(check int)
-        (M.algorithm_to_string alg ^ " incremental: no rebuilds")
-        0 ri.T.stats.T.rebuilds;
-      Alcotest.(check bool)
-        (M.algorithm_to_string alg ^ " incremental: reuses clauses")
-        true
-        (ri.T.stats.T.clauses_reused > 0);
-      let rr = M.solve ~config:rebuild alg w in
-      Alcotest.(check bool)
-        (M.algorithm_to_string alg ^ " rebuild: rebuilds counted")
-        true
-        (rr.T.stats.T.rebuilds >= 1))
-    [ M.Msu1; M.Msu3; M.Msu4_v2 ]
+      let name = M.algorithm_to_string alg in
+      with_fault F.Crash_mid_solve (fun () ->
+          let r = M.solve_supervised alg w in
+          match r.T.outcome with
+          | T.Crashed { lb; ub; _ } ->
+              Alcotest.(check bool) (name ^ " lb sound") true (lb <= 1);
+              (match ub with
+              | Some u -> Alcotest.(check bool) (name ^ " ub sound") true (u >= 1)
+              | None -> ())
+          | T.Optimum 1 -> () (* crash hook never reached *)
+          | o -> Alcotest.failf "%s: %a" name T.pp_outcome o))
+    [ M.Msu3; M.Msu4_v2; M.Pbo_linear ]
 
 (* ---------------- solver selectors ---------------- *)
 
@@ -359,17 +278,11 @@ let test_itotalizer_empty_then_extend () =
 
 let suite =
   [
-    Alcotest.test_case "modes agree: plain MaxSAT" `Quick test_modes_agree_plain;
-    Alcotest.test_case "modes agree: partial MaxSAT" `Quick test_modes_agree_partial;
-    Alcotest.test_case "modes agree: weighted partial" `Quick
-      test_modes_agree_weighted;
-    Alcotest.test_case "modes agree: all five encodings" `Quick
-      test_all_encodings_both_modes;
-    Alcotest.test_case "budget runs give sound bounds" `Quick
-      test_budget_bounds_both_modes;
-    Alcotest.test_case "crash salvages sound bounds" `Quick
-      test_crash_salvage_both_modes;
-    Alcotest.test_case "stats reflect mode" `Quick test_stats_reflect_mode;
+    Alcotest.test_case "modes agree: plain MaxSAT" `Quick test_plain;
+    Alcotest.test_case "modes agree: partial MaxSAT" `Quick test_partial;
+    Alcotest.test_case "modes agree: weighted partial" `Quick test_weighted;
+    Alcotest.test_case "budget runs give sound bounds" `Quick test_budget_bounds;
+    Alcotest.test_case "crash salvages sound bounds" `Quick test_crash_salvage;
     Alcotest.test_case "selector enforces and frees" `Quick
       test_selector_enforce_and_free;
     Alcotest.test_case "selector retires" `Quick test_selector_retire;

@@ -117,7 +117,6 @@ let all_kinds =
     Event.Card_constraint { arity = 12; bound = 2 };
     Event.Restart;
     Event.Reduce_db { kept = 105 };
-    Event.Rebuild;
     Event.Cache_hit;
     Event.Cache_miss;
     Event.Queue_enqueue { depth = 5 };
@@ -450,26 +449,6 @@ let test_consistency_oracle () =
       | _ -> Alcotest.fail (name ^ ": expected an optimum"))
     oracle_algorithms
 
-(* Rebuild-mode solves must narrate their reconstructions. *)
-let test_rebuild_events () =
-  let col = Obs.Collector.create () in
-  let config =
-    {
-      T.default_config with
-      T.incremental = false;
-      T.sink = Obs.Collector.sink col;
-    }
-  in
-  let r = M.solve ~config M.Msu4_v2 (example ()) in
-  let rebuilds =
-    List.length
-      (List.filter
-         (fun e -> e.Event.kind = Event.Rebuild)
-         (Obs.Collector.events col))
-  in
-  Alcotest.(check int)
-    "Rebuild events = stats.rebuilds" r.T.stats.T.rebuilds rebuilds
-
 let suite =
   [
     Alcotest.test_case "ring basic" `Quick test_ring_basic;
@@ -487,5 +466,4 @@ let suite =
     Alcotest.test_case "span torn frames" `Quick test_span_torn_frames;
     Alcotest.test_case "span solve report" `Quick test_span_solve_report;
     Alcotest.test_case "consistency oracle" `Quick test_consistency_oracle;
-    Alcotest.test_case "rebuild events" `Quick test_rebuild_events;
   ]

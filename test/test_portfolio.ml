@@ -67,7 +67,7 @@ let test_matches_brute_force () =
     [ 11; 42 ]
 
 (* Every single-worker portfolio agrees too: the spec plumbing
-   (algorithm, encoding, incremental mode) reaches the worker intact. *)
+   (algorithm, encoding) reaches the worker intact. *)
 let test_singleton_specs_agree () =
   let w = example2 () in
   List.iter
@@ -86,7 +86,6 @@ let test_singleton_specs_agree () =
       P.spec M.Oll;
       P.spec M.Msu4_v1;
       P.spec ~encoding:Msu_card.Card.Totalizer M.Msu3;
-      P.spec ~incremental:false M.Msu4_v2;
     ]
 
 (* A crashing worker must not poison the race: the survivor decides and
@@ -568,6 +567,31 @@ let test_default_specs () =
     (List.length (List.sort_uniq compare labels));
   Alcotest.(check bool) "cap holds" true (List.length (P.default_specs 99) <= 16)
 
+(* Every default spec must run its own search.  A worker is its
+   algorithm run under the spec's encoding, so two specs that report
+   identical stats on every instance race the same search twice, as
+   msu4-v1 would next to msu4-v2 (msu4 never reads the encoding).
+   Unit-weight instances, so every algorithm can run. *)
+let test_default_specs_distinct () =
+  let st = Random.State.make [| 0x5EC5 |] in
+  let instances = List.init 4 (fun _ -> random_wcnf st) in
+  let runs =
+    List.map
+      (fun sp ->
+        let config = { T.default_config with T.encoding = sp.P.encoding } in
+        let stats w = (M.solve ~config sp.P.algorithm w).T.stats in
+        (sp.P.label, List.map stats instances))
+      (P.default_specs 12)
+  in
+  List.iteri
+    (fun i (a, stats_a) ->
+      List.iteri
+        (fun j (b, stats_b) ->
+          if i < j && stats_a = stats_b then
+            Alcotest.failf "%s and %s report identical stats on every instance" a b)
+        runs)
+    runs
+
 let suite =
   [
     Alcotest.test_case "portfolio matches brute force" `Quick test_matches_brute_force;
@@ -600,4 +624,6 @@ let suite =
     Alcotest.test_case "export taint" `Quick test_export_taint;
     Alcotest.test_case "sls deterministic" `Quick test_sls_deterministic;
     Alcotest.test_case "default specs" `Quick test_default_specs;
+    Alcotest.test_case "default specs run distinct searches" `Quick
+      test_default_specs_distinct;
   ]
