@@ -427,9 +427,9 @@ let ablation_wpm1 () =
    are aggregated per mode, the engine's pass counters are read as
    deltas from the Msu_obs registry, and optima are cross-checked per
    instance.  The per-suite "improved" flag is the acceptance gate:
-   inprocessing must strictly reduce conflicts+propagations (or wall
-   clock) on at least one suite with optima identical.  Aggregates land
-   in BENCH_inprocess.json. *)
+   inprocessing must strictly reduce conflicts+propagations and must not
+   raise wall clock, with optima identical — less work bought with more
+   time is no improvement.  Aggregates land in BENCH_inprocess.json. *)
 
 type inpro_totals = {
   ip_wall : float;
@@ -592,7 +592,7 @@ let ablation_inprocess () =
             algorithms
         in
         let improved =
-          !all_match && (!on_work < !off_work || !on_wall < !off_wall)
+          !all_match && !on_work < !off_work && !on_wall <= !off_wall
         in
         Printf.printf
           "  suite totals: on %.2fs / %d conflicts+propagations, off %.2fs / %d -> %s\n%!"
@@ -1113,14 +1113,7 @@ let ablation_chaos () =
       (fun (name, w, r) ->
         match (r.T.outcome, r.T.model) with
         | T.Optimum c, Some m when r.T.stats.T.sat_calls > 1 ->
-            let ck =
-              {
-                Ck.lb = c;
-                ub = Some c;
-                model = Some m;
-                marker = Msu_guard.Guard.Progress.No_marker;
-              }
-            in
+            let ck = { Ck.lb = c; ub = Some c; model = Some m } in
             let config =
               {
                 T.default_config with
@@ -1374,9 +1367,7 @@ let ablation_chaos () =
   if not ok_cache then complain "corrupt cache snapshot did not load as empty";
   (try Sys.remove jpath with Sys_error _ -> ());
   let rd = Ck.reader () in
-  let ck =
-    { Ck.lb = 1; ub = Some 3; model = None; marker = Msu_guard.Guard.Progress.No_marker }
-  in
+  let ck = { Ck.lb = 1; ub = Some 3; model = None } in
   let wire = Ck.to_wire ck in
   Ck.feed rd (wire ^ "\n");
   Ck.feed rd (String.sub wire 0 (String.length wire / 2) ^ "\n");

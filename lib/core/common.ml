@@ -133,11 +133,6 @@ let maybe_inprocess (cfg : Types.config) s =
     let min_dirty = max 8 (Msu_sat.Solver.num_clauses s / 4) in
     ignore (Msu_sat.Solver.inprocess ?guard:cfg.Types.guard ~min_dirty s)
 
-let note_marker (cfg : Types.config) m =
-  match cfg.progress with
-  | Some cell -> Guard.Progress.note_marker cell m
-  | None -> ()
-
 (* Re-verify a checkpointed incumbent against an instance.  Published
    models carry auxiliary solver variables past the instance's, so the
    model is truncated to [num_vars] before costing; anything that does

@@ -76,10 +76,6 @@ val maybe_inprocess : Types.config -> Msu_sat.Solver.t -> unit
     change accumulated since the last pass.  Guard-polled; a deadline
     aborts the pass cleanly. *)
 
-val note_marker : Types.config -> Msu_guard.Guard.Progress.marker -> unit
-(** Record where in its iteration scheme the algorithm is; rides along
-    in warm-resume checkpoints. *)
-
 val checkpoint_incumbent :
   Msu_cnf.Wcnf.t -> Msu_guard.Checkpoint.t -> (int * bool array) option
 (** Re-verify a checkpointed incumbent against an instance: truncate the

@@ -156,8 +156,7 @@ let solve_supervised ?(config = Types.default_config) algorithm w =
       G.Progress.note_lb cell ck.Msu_guard.Checkpoint.lb;
       (match Common.checkpoint_incumbent w ck with
       | Some (ub, m) -> G.Progress.note_ub cell ub (Some m)
-      | None -> ());
-      G.Progress.note_marker cell ck.Msu_guard.Checkpoint.marker
+      | None -> ())
   | None -> ());
   let t0 = Unix.gettimeofday () in
   match G.supervise ~spans:config.Types.spans (fun () -> solve ~config algorithm w) with

@@ -114,7 +114,6 @@ let solve_incremental (config : Types.config) w t0 =
             Common.card_event config ~arity:(List.length new_leaves) ~bound:(!lambda + 1);
             incr lambda;
             Common.note_lb config !lambda;
-            Common.note_marker config (Msu_guard.Guard.Progress.Core_rounds !lambda);
             Common.trace config (fun () ->
                 Printf.sprintf "UNSAT: %d newly relaxed, lambda now %d"
                   (List.length new_leaves) !lambda);

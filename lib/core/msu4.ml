@@ -161,8 +161,6 @@ let solve_incremental (config : Types.config) w t0 =
                   ~fresh_blocking:(List.length softs) tally;
                 incr unsat_iters;
                 Common.note_lb config (lower_bound ());
-                Common.note_marker config
-                  (Msu_guard.Guard.Progress.Core_rounds !unsat_iters);
                 let new_bs =
                   List.map
                     (fun i ->

@@ -88,7 +88,6 @@ let solve ?(config = Types.default_config) w =
               Common.Tally.core ~size:(List.length core) tally;
               incr lb;
               Common.note_lb config !lb;
-              Common.note_marker config (Msu_guard.Guard.Progress.Core_rounds !lb);
               (* Retire the core's assumptions; collect the violation
                  indicators they were guarding. *)
               let indicators =

@@ -87,8 +87,7 @@ let linear config tally w t0 =
   (match Common.resume_incumbent config w with
   | Some (cost, model) when cost > 0 ->
       (* cost 0 would have ended the previous solve; assume_below needs >= 1 *)
-      best := Some (cost, model);
-      Common.note_marker config (Msu_guard.Guard.Progress.At_most cost)
+      best := Some (cost, model)
   | _ -> ());
   let rec loop () =
     if Common.over_deadline config then bounds ()
@@ -117,7 +116,6 @@ let linear config tally w t0 =
           Common.trace config (fun () -> Printf.sprintf "SAT: cost %d" cost);
           best := Some (cost, model);
           Common.note_ub config cost (Some model);
-          Common.note_marker config (Msu_guard.Guard.Progress.At_most cost);
           if cost = 0 then finish (Types.Optimum 0) (Some model)
           else begin
             Common.maybe_inprocess config s;
@@ -201,8 +199,7 @@ let binary config tally w t0 =
           | Some (c, _) when c <= cost -> ()
           | _ ->
               best := Some (cost, model);
-              Common.note_ub config cost (Some model);
-              Common.note_marker config (Msu_guard.Guard.Progress.At_most cost));
+              Common.note_ub config cost (Some model));
           loop ()
       | Solver.Unsat -> (
           match probe with
@@ -211,7 +208,6 @@ let binary config tally w t0 =
               Common.trace config (fun () -> Printf.sprintf "UNSAT at bound %d" p);
               lo := p + 1;
               Common.note_lb config !lo;
-              Common.note_marker config (Msu_guard.Guard.Progress.At_most p);
               loop ())
     end
   and bounds () =

@@ -62,7 +62,6 @@ let solve_incremental (config : Types.config) w t0 =
     Common.finish config ~t0 ~stats:(Common.Tally.snapshot tally) outcome model
   in
   let cost = ref 0 in
-  let rounds = ref 0 in
   let bounds () = finish (Types.Bounds { lb = !cost; ub = None }) None in
   (* A peer (portfolio worker / resumed checkpoint) holds a model at
      cost <= our lower bound: the gap is closed, the parent merges. *)
@@ -140,10 +139,7 @@ let solve_incremental (config : Types.config) w t0 =
               Msu_card.Card.exactly_one sink (Array.of_list new_bs);
               Common.maybe_inprocess config s;
               cost := !cost + wmin;
-              incr rounds;
               Common.note_lb config !cost;
-              Common.note_marker config
-                (Msu_guard.Guard.Progress.Core_rounds !rounds);
               Common.trace config (fun () ->
                   Printf.sprintf "UNSAT: core of %d softs, wmin %d, cost now %d"
                     (List.length idxs) wmin !cost);

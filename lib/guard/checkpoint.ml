@@ -1,10 +1,10 @@
 (* Warm-resume checkpoints.
 
    A checkpoint is the crash-survivable digest of one solve: the
-   certified lb/ub bracket, the incumbent model backing the ub, and an
-   informational progress marker.  Workers stream frames over a pipe on
-   the guard ticker cadence; the parent keeps the last intact frame and
-   re-seeds a retried solve from it.
+   certified lb/ub bracket and the incumbent model backing the ub.
+   Workers stream frames up their pipe on the guard ticker cadence; the
+   parent keeps the last intact frame and re-seeds a retried solve from
+   it.
 
    Soundness: lb and ub are only ever published after being proved
    (UNSAT core counted / model costed), so installing them into a fresh
@@ -16,10 +16,9 @@ type t = {
   lb : int;
   ub : int option;
   model : bool array option;  (* incumbent achieving [ub], when known *)
-  marker : Guard.Progress.marker;
 }
 
-let empty = { lb = 0; ub = None; model = None; marker = Guard.Progress.No_marker }
+let empty = { lb = 0; ub = None; model = None }
 let is_empty c = c.lb = 0 && c.ub = None && c.model = None
 
 let of_cell cell =
@@ -27,12 +26,10 @@ let of_cell cell =
     lb = Guard.Progress.lb cell;
     ub = Guard.Progress.ub cell;
     model = Guard.Progress.model cell;
-    marker = Guard.Progress.marker cell;
   }
 
 (* Best certified bracket across two checkpoints; the model follows
-   whichever ub wins, and the marker follows the newer (second)
-   checkpoint when it carries one. *)
+   whichever ub wins. *)
 let merge a b =
   let lb = max a.lb b.lb in
   let ub, model =
@@ -47,10 +44,7 @@ let merge a b =
           (* tie: keep whichever side actually holds the incumbent *)
           (a.ub, (match b.model with Some _ -> b.model | None -> a.model))
   in
-  let marker =
-    match b.marker with Guard.Progress.No_marker -> a.marker | m -> m
-  in
-  { lb; ub; model; marker }
+  { lb; ub; model }
 
 let install c g = Guard.install_bounds g ~lb:c.lb ~ub:c.ub
 
@@ -59,37 +53,21 @@ let install c g = Guard.install_bounds g ~lb:c.lb ~ub:c.ub
    One frame = one line:
 
      ck <md5-of-payload> <payload>
-     payload := <lb> <ub|-1> <mk> <m1> <m2> <modelbits|->
+     payload := <lb> <ub|-1> <modelbits|->
 
-   [mk] is a one-letter marker tag with two integer slots (0-padded).
    The digest makes a torn or bit-flipped frame self-evidently invalid:
    the reader drops it and keeps the previous intact checkpoint. *)
 
-let marker_fields = function
-  | Guard.Progress.No_marker -> ("n", 0, 0)
-  | Guard.Progress.Core_rounds k -> ("c", k, 0)
-  | Guard.Progress.Stratum { index; hardened } -> ("s", index, hardened)
-  | Guard.Progress.At_most b -> ("a", b, 0)
-
-let marker_of_fields mk m1 m2 =
-  match mk with
-  | "n" -> Some Guard.Progress.No_marker
-  | "c" -> Some (Guard.Progress.Core_rounds m1)
-  | "s" -> Some (Guard.Progress.Stratum { index = m1; hardened = m2 })
-  | "a" -> Some (Guard.Progress.At_most m1)
-  | _ -> None
-
 let payload c =
-  let mk, m1, m2 = marker_fields c.marker in
   let bits =
     match c.model with
     | None -> "-"
     | Some m ->
         String.init (Array.length m) (fun i -> if m.(i) then '1' else '0')
   in
-  Printf.sprintf "%d %d %s %d %d %s" c.lb
+  Printf.sprintf "%d %d %s" c.lb
     (match c.ub with Some u -> u | None -> -1)
-    mk m1 m2 bits
+    bits
 
 let to_wire c =
   let p = payload c in
@@ -102,31 +80,15 @@ let of_wire line =
       if Digest.to_hex (Digest.string p) <> digest then None
       else
         match rest with
-        | [ lb; ub; mk; m1; m2; bits ] -> (
-            match
-              ( int_of_string_opt lb,
-                int_of_string_opt ub,
-                int_of_string_opt m1,
-                int_of_string_opt m2 )
-            with
-            | Some lb, Some ub, Some m1, Some m2 -> (
-                match marker_of_fields mk m1 m2 with
-                | None -> None
-                | Some marker ->
-                    let model =
-                      if bits = "-" then None
-                      else
-                        Some
-                          (Array.init (String.length bits) (fun i ->
-                               bits.[i] = '1'))
-                    in
-                    Some
-                      {
-                        lb;
-                        ub = (if ub < 0 then None else Some ub);
-                        model;
-                        marker;
-                      })
+        | [ lb; ub; bits ] -> (
+            match (int_of_string_opt lb, int_of_string_opt ub) with
+            | Some lb, Some ub ->
+                let model =
+                  if bits = "-" then None
+                  else
+                    Some (Array.init (String.length bits) (fun i -> bits.[i] = '1'))
+                in
+                Some { lb; ub = (if ub < 0 then None else Some ub); model }
             | _ -> None)
         | _ -> None)
   | _ -> None
@@ -135,9 +97,10 @@ let of_wire line =
 
 (* Frames are deduplicated (the ticker fires far more often than bounds
    improve) and written with a trailing newline in a single [write].  A
-   worker killed mid-write leaves a newline-less tail the reader's line
-   buffering discards.  EPIPE (parent gone) silently stops the stream:
-   the solve itself keeps running under its own guard. *)
+   worker killed mid-write leaves a newline-less tail, which the parent
+   still parses at EOF and drops when its digest fails.  EPIPE (parent
+   gone) silently stops the stream: the solve itself keeps running
+   under its own guard. *)
 let writer fd cell =
   let last = ref "" in
   let frames = ref 0 in

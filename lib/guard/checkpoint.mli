@@ -1,11 +1,11 @@
 (** Warm-resume checkpoints.
 
     The crash-survivable digest of one solve: the certified lb/ub
-    bracket, the incumbent model backing the upper bound, and an
-    informational {!Guard.Progress.marker}.  A worker streams frames
-    over a pipe on the guard ticker cadence; the parent keeps the last
-    intact frame and re-seeds a retried solve from it, so monotone work
-    (cores counted, models found) survives process death.
+    bracket and the incumbent model backing the upper bound.  A worker
+    streams [ck] frames up its one {!Msu_harness.Workers} pipe on the
+    guard ticker cadence; the parent keeps the last intact frame and
+    re-seeds a retried solve from it, so monotone work (cores counted,
+    models found) survives process death.
 
     Soundness: the bracket was proved before it was published, so a
     retry may install it as {e external} bounds on a fresh guard; the
@@ -17,7 +17,6 @@ type t = {
   lb : int;
   ub : int option;
   model : bool array option;  (** incumbent achieving [ub], when known *)
-  marker : Guard.Progress.marker;
 }
 
 val empty : t
@@ -28,14 +27,15 @@ val of_cell : Guard.Progress.cell -> t
 
 val merge : t -> t -> t
 (** Best certified bracket across both; the model follows the winning
-    upper bound, the marker follows the second argument when set. *)
+    upper bound. *)
 
 val install : t -> Guard.t -> unit
 (** Install the bracket as external bounds ({!Guard.install_bounds}) so
     the resumed algorithm prunes with it. *)
 
 val to_wire : t -> string
-(** One checksummed line (no trailing newline). *)
+(** One checksummed line (no trailing newline):
+    [ck <md5> <lb> <ub|-1> <bits|->]. *)
 
 val of_wire : string -> t option
 (** [None] on a torn or corrupted frame — the digest must match. *)

@@ -6,6 +6,7 @@ type kind =
   | Kill_mid_solve
   | Torn_checkpoint
   | Torn_publish
+  | Kill_after_result
 
 let registry : (kind, unit) Hashtbl.t = Hashtbl.create 4
 let arm k = Hashtbl.replace registry k ()

@@ -24,6 +24,10 @@ type kind =
           only the parent's EOF residual flush can salvage the bound.
           The frame is ["l 1"], so arm it only on instances whose
           optimum is at least 1. *)
+  | Kill_after_result
+      (** SIGKILL a forked worker right after its result file is
+          written: the result must still count, whatever the exit
+          status says *)
 
 val arm : kind -> unit
 val disarm : kind -> unit

@@ -103,6 +103,8 @@ let cancel_current () =
   | None -> cancel_pending := true
 
 let install_sigterm_handler () =
+  cancel_target := None;
+  cancel_pending := false;
   Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> cancel_current ()))
 let conflicts g = g.conflicts
 let propagations g = g.propagations
@@ -162,26 +164,13 @@ let poll g =
 let check g = match poll g with None -> () | Some r -> raise (Interrupt r)
 
 module Progress = struct
-  (* Algorithm-specific progress marker, recorded alongside the bounds
-     so a checkpoint can say *where* in its iteration scheme the solve
-     was when it died (cores relaxed, search stratum, current at-most
-     probe).  Purely informational for observability and chaos
-     accounting; the sound resume channel is the certified bracket. *)
-  type marker =
-    | No_marker
-    | Core_rounds of int  (** relaxation rounds completed (msu3/msu4/oll/wpm1) *)
-    | Stratum of { index : int; hardened : int }
-        (** weight stratum + clauses hardened (reserved for stratified wpm1) *)
-    | At_most of int  (** current at-most / objective probe (pbo linear/binary) *)
-
   type cell = {
     mutable lb : int;
     mutable ub : int option;
     mutable model : bool array option;
-    mutable marker : marker;
   }
 
-  let create () = { lb = 0; ub = None; model = None; marker = No_marker }
+  let create () = { lb = 0; ub = None; model = None }
   let note_lb c lb = if lb > c.lb then c.lb <- lb
 
   let note_ub c ub model =
@@ -196,8 +185,6 @@ module Progress = struct
   let lb c = c.lb
   let ub c = c.ub
   let model c = c.model
-  let note_marker c m = c.marker <- m
-  let marker c = c.marker
 end
 
 let supervise ?(spans = Msu_obs.Obs.Span.disabled) f =

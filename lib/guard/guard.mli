@@ -128,8 +128,10 @@ val cancel_current : unit -> unit
     yet, the request is remembered for the next {!set_cancel_target}. *)
 
 val install_sigterm_handler : unit -> unit
-(** Route SIGTERM to {!cancel_current}.  Call only in a forked child
-    that owns the process (never in a suite/portfolio parent). *)
+(** Route SIGTERM to {!cancel_current}, forgetting any cancellation
+    target or pending request inherited across the fork.  Call only in
+    a forked child that owns the process (never in a suite/portfolio
+    parent). *)
 
 (** Best-bounds cell shared by an algorithm and its supervisor.
 
@@ -137,16 +139,6 @@ val install_sigterm_handler : unit -> unit
     it is proved, so that a crash or budget interrupt anywhere in the
     stack still surfaces the work done so far. *)
 module Progress : sig
-  (** Where in its iteration scheme the algorithm currently is; rides
-      along in warm-resume checkpoints.  Informational — the sound
-      resume channel is the certified bracket plus incumbent model. *)
-  type marker =
-    | No_marker
-    | Core_rounds of int  (** relaxation rounds completed (msu3/msu4/oll/wpm1) *)
-    | Stratum of { index : int; hardened : int }
-        (** weight stratum + hardened count (reserved for stratified wpm1) *)
-    | At_most of int  (** current at-most / objective probe (pbo) *)
-
   type cell
 
   val create : unit -> cell
@@ -164,9 +156,6 @@ module Progress : sig
   val ub : cell -> int option
   val model : cell -> bool array option
   (** The model achieving {!ub}, when one was published. *)
-
-  val note_marker : cell -> marker -> unit
-  val marker : cell -> marker
 end
 
 val supervise : ?spans:Msu_obs.Obs.Span.t -> (unit -> 'a) -> ('a, string) result

@@ -83,158 +83,30 @@ let attempt ?resume ?checkpoint_fd ~timeout ~conflict_budget algorithm wcnf =
   in
   (outcome, time, Checkpoint.of_cell cell)
 
-(* ---------------- process isolation ---------------- *)
-
-module Subproc = struct
-  (* Fork/Marshal plumbing shared with the portfolio: results travel
-     through a temp file (a pipe could deadlock past the 64K kernel
-     buffer); cancellation is a ladder — SIGTERM trips the child's
-     guard so it can flush the bounds it computed, SIGKILL is the
-     backstop for a child that no longer polls. *)
-
-  let flush_grace grace = Float.max 0.25 (0.5 *. grace)
-
-  let write_result tmp (result : ('a, string) result) =
-    try
-      let oc = open_out_bin tmp in
-      Marshal.to_channel oc result [];
-      close_out oc
-    with _ -> ()
-
-  let read_result tmp : ('a, string) result option =
-    try
-      let ic = open_in_bin tmp in
-      let r = (Marshal.from_channel ic : ('a, string) result) in
-      close_in ic;
-      Some r
-    with _ -> None
-
-  let kill pid signal = try Unix.kill pid signal with Unix.Unix_error _ -> ()
-
-  (* Child-side preamble: route SIGTERM to the guard of the solve this
-     process is about to run, with a SIGALRM hard backstop in case the
-     child stops polling entirely.  SIGPIPE is ignored so a checkpoint
-     write to a dead parent surfaces as EPIPE (handled) not death. *)
-  let child_setup ~alarm_after () =
-    Msu_guard.Guard.install_sigterm_handler ();
-    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
-    if Float.is_finite alarm_after then
-      ignore (Unix.alarm (int_of_float (ceil alarm_after) + 1))
-
-  (* Reap [pid] with exponential backoff (the parent has nothing else to
-     do, but a 5 ms busy-wait for a 60 s run burns 12k wakeups): sleeps
-     double up to 50 ms, clipped so ladder deadlines are still hit
-     promptly.  At [term_at] the child gets SIGTERM and [flush] seconds
-     to write its partial result; then SIGKILL.  [drain] runs on every
-     wakeup (the checkpoint-pipe pump).  Every blocking call retries on
-     EINTR: a signal landing mid-backoff (SIGCHLD, an itimer, a racing
-     ladder in another subprocess) must not abort the reap. *)
-  let wait_with_ladder ?(drain = fun () -> ()) ~term_at ~flush pid =
-    let waitpid_nohang pid =
-      try Unix.waitpid [ Unix.WNOHANG ] pid
-      with Unix.Unix_error (Unix.EINTR, _, _) -> (0, Unix.WEXITED 0)
-    in
-    let rec waitpid_block pid =
-      try Unix.waitpid [] pid
-      with Unix.Unix_error (Unix.EINTR, _, _) -> waitpid_block pid
-    in
-    let sleepf d =
-      try Unix.sleepf d with Unix.Unix_error (Unix.EINTR, _, _) -> ()
-    in
-    let kill_at = term_at +. flush in
-    let rec wait ~termed ~killed ~delay =
-      drain ();
-      match waitpid_nohang pid with
-      | 0, _ ->
-          let now = Unix.gettimeofday () in
-          if (not killed) && now > kill_at then begin
-            kill pid Sys.sigkill;
-            (* A killed child cannot linger: block until reaped. *)
-            let _, status = waitpid_block pid in
-            drain ();
-            status
-          end
-          else if (not termed) && now > term_at then begin
-            kill pid Sys.sigterm;
-            wait ~termed:true ~killed ~delay:0.002
-          end
-          else begin
-            let next_event = if termed then kill_at else term_at in
-            let pause = Float.min delay (Float.max 0.001 (next_event -. now)) in
-            sleepf pause;
-            wait ~termed ~killed ~delay:(Float.min (2. *. delay) 0.05)
-          end
-      | _, status ->
-          drain ();
-          status
-    in
-    wait ~termed:false ~killed:false ~delay:0.001
-end
-
-(* Run the attempt in a forked child.  The parent's ladder starts at
-   [timeout + grace]: SIGTERM first (the child's guard trips, the solve
-   unwinds and the partial bounds reach the temp file — previously an
-   immediate SIGKILL discarded them), SIGKILL after a short flush
-   window; a SIGALRM backstop in the child covers a parent that dies. *)
-(* Like {!run_isolated} below, but the thunk gets the write end of a
-   checkpoint pipe: the parent pumps it while reaping and returns the
-   newest intact checkpoint alongside the child's result — the only
-   progress that survives a SIGKILLed child. *)
-let run_isolated_ck ~timeout ~grace thunk =
-  let tmp = Filename.temp_file "msu-run" ".bin" in
-  let finally () = try Sys.remove tmp with Sys_error _ -> () in
-  Fun.protect ~finally (fun () ->
-      let rd, wr = Unix.pipe () in
-      match Unix.fork () with
-      | 0 ->
-          (* Child: run, marshal, die without flushing inherited channels. *)
-          Unix.close rd;
-          Subproc.child_setup
-            ~alarm_after:(timeout +. (2. *. grace) +. Subproc.flush_grace grace)
-            ();
-          let result =
-            try Ok (thunk wr) with e -> Error (Printexc.to_string e)
-          in
-          Subproc.write_result tmp (result : ((outcome * float), string) result);
-          Unix._exit 0
-      | pid ->
-          Unix.close wr;
-          Unix.set_nonblock rd;
-          let reader = Checkpoint.reader () in
-          let buf = Bytes.create 4096 in
-          let rec drain () =
-            match Unix.read rd buf 0 (Bytes.length buf) with
-            | 0 -> ()
-            | n ->
-                Checkpoint.feed reader (Bytes.sub_string buf 0 n);
-                drain ()
-            | exception
-                Unix.Unix_error
-                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-                ()
-          in
-          let status =
-            Subproc.wait_with_ladder ~drain
-              ~term_at:(Unix.gettimeofday () +. timeout +. grace)
-              ~flush:(Subproc.flush_grace grace) pid
-          in
-          Unix.close rd;
-          let crashed reason =
-            (Aborted { why = Crash reason; lb = 0; ub = None }, timeout)
-          in
-          let res =
-            match (status, Subproc.read_result tmp) with
-            | Unix.WEXITED 0, Some (Ok r) -> r
-            | Unix.WEXITED 0, Some (Error reason) -> crashed reason
-            | Unix.WEXITED 0, None -> crashed "child produced no result"
-            | Unix.WEXITED n, _ -> crashed (Printf.sprintf "child exit %d" n)
-            | (Unix.WSIGNALED n | Unix.WSTOPPED n), _ ->
-                crashed (Printf.sprintf "child killed (signal %d)" n)
-          in
-          (res, Checkpoint.latest reader))
-
-let run_isolated ~timeout ~grace thunk =
-  fst (run_isolated_ck ~timeout ~grace (fun _fd -> thunk ()))
+(* Run the attempt in a forked worker.  Its checkpoint frames ride the
+   worker's up pipe; the newest intact one comes back with the result —
+   the only progress that survives a SIGKILLed child. *)
+let isolated ?resume ~grace ~timeout ~conflict_budget algorithm wcnf =
+  let pool = Workers.create ~grace () in
+  let reader = Checkpoint.reader () in
+  let result = ref (Error "worker not reaped") in
+  ignore
+    (Workers.spawn pool
+       ~deadline:(Unix.gettimeofday () +. timeout)
+       ~on_line:(fun line -> Checkpoint.feed reader (line ^ "\n"))
+       ~on_exit:(fun e -> result := e.Workers.result)
+       (fun ~up ~down:_ ->
+         let outcome, time, _ =
+           attempt ?resume ~checkpoint_fd:up ~timeout ~conflict_budget algorithm wcnf
+         in
+         (outcome, time)));
+  Workers.wait pool;
+  let res =
+    match !result with
+    | Ok r -> r
+    | Error reason -> (Aborted { why = Crash reason; lb = 0; ub = None }, timeout)
+  in
+  (res, Checkpoint.latest reader)
 
 (* Fold a checkpointed bracket into an aborted outcome; collapse to
    [Solved] only when the lower bound meets an upper bound backed by a
@@ -264,12 +136,7 @@ let run_one ?(isolate = false) ?(grace = 1.0) ?(retry = no_retry) ?conflict_budg
     ~timeout algorithm (instance, family, wcnf) =
   let once ~resume budget =
     if isolate then
-      run_isolated_ck ~timeout ~grace (fun fd ->
-          let outcome, time, _ck =
-            attempt ?resume ~checkpoint_fd:fd ~timeout ~conflict_budget:budget
-              algorithm wcnf
-          in
-          (outcome, time))
+      isolated ?resume ~grace ~timeout ~conflict_budget:budget algorithm wcnf
     else begin
       let outcome, time, ck =
         attempt ?resume ~timeout ~conflict_budget:budget algorithm wcnf

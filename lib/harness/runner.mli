@@ -8,8 +8,9 @@
 
     Robustness: every run goes through {!Msu_maxsat.Maxsat.solve_supervised}
     with a fresh {!Msu_guard.Guard}, so aborts carry the cause and the
-    best bounds seen; optional fork-based isolation and a retry policy
-    guarantee the suite finishes no matter what one instance does. *)
+    best bounds seen; optional fork-based isolation (a {!Workers}
+    worker per attempt) and a retry policy guarantee the suite finishes
+    no matter what one instance does. *)
 
 type abort_reason =
   | Timeout  (** wall-clock deadline *)
@@ -48,53 +49,6 @@ val no_retry : retry_policy
 
 val abort_reason_to_string : abort_reason -> string
 
-(** Fork/Marshal plumbing shared by {!run_isolated} and the portfolio
-    solver ([Msu_portfolio]): temp-file result transport and the
-    graceful cancellation ladder (SIGTERM → flush window → SIGKILL). *)
-module Subproc : sig
-  val flush_grace : float -> float
-  (** Seconds a SIGTERMed child gets to flush its partial result before
-      SIGKILL, as a function of the configured [grace]. *)
-
-  val write_result : string -> ('a, string) result -> unit
-  (** Marshal a result to the given path; errors are swallowed (the
-      parent treats a missing file as a crash). *)
-
-  val read_result : string -> ('a, string) result option
-
-  val kill : int -> int -> unit
-  (** [kill pid signal], ignoring [ESRCH] races with exit. *)
-
-  val child_setup : alarm_after:float -> unit -> unit
-  (** Call first in a forked child: routes SIGTERM to
-      {!Msu_guard.Guard.cancel_current} (so the solve unwinds with its
-      bounds instead of dying) and arms a SIGALRM hard backstop
-      [alarm_after] seconds out (skipped when infinite). *)
-
-  val wait_with_ladder :
-    ?drain:(unit -> unit) -> term_at:float -> flush:float -> int -> Unix.process_status
-  (** Reap the child with exponential-backoff sleeps (no busy-wait); at
-      [term_at] send SIGTERM, [flush] seconds later SIGKILL.  [drain]
-      runs on every wakeup and once after the reap (checkpoint-pipe
-      pump).  All blocking calls retry on EINTR. *)
-end
-
-val run_isolated :
-  timeout:float -> grace:float -> (unit -> outcome * float) -> outcome * float
-(** Run the thunk in a forked child with the {!Subproc} ladder; exposed
-    for tests and custom harnesses ({!run_one} [~isolate] wraps
-    {!run_isolated_ck}). *)
-
-val run_isolated_ck :
-  timeout:float ->
-  grace:float ->
-  (Unix.file_descr -> outcome * float) ->
-  (outcome * float) * Msu_guard.Checkpoint.t option
-(** Like {!run_isolated}, but the thunk receives the write end of a
-    checkpoint pipe (pass it to the solve as [checkpoint_fd]); the
-    parent pumps the pipe while reaping and returns the newest intact
-    checkpoint — the only progress that survives a SIGKILLed child. *)
-
 val merge_checkpoint :
   Msu_cnf.Wcnf.t -> outcome -> Msu_guard.Checkpoint.t -> outcome
 (** Fold a checkpointed bracket into an aborted outcome.  Collapses to
@@ -111,14 +65,16 @@ val run_one :
   string * string * Msu_cnf.Wcnf.t ->
   run
 (** [run_one ~timeout alg (name, family, wcnf)].  With [isolate] the
-    solve runs in a forked child process: the result comes back through
-    a temp file, the child carries a SIGALRM backstop, and [grace]
-    seconds (default 1.0) past the timeout the parent starts the
-    cancellation ladder — SIGTERM (tripping the child's guard, which
-    flushes the partial lb/ub it computed), then SIGKILL after a short
-    flush window — so an infinite loop or C-level crash costs one run,
-    never the suite, and a timed-out run still reports its bounds.
-    [retry] (default {!no_retry}) re-runs crashed attempts. *)
+    solve runs in a forked {!Workers} worker: the result comes back
+    through a temp file, checkpoint frames stream up the worker's pipe,
+    the child carries a SIGALRM backstop, and [grace] seconds (default
+    1.0) past the timeout the parent starts the cancellation ladder —
+    SIGTERM (tripping the child's guard, which flushes the partial
+    lb/ub it computed), then SIGKILL after a short flush window — so an
+    infinite loop or C-level crash costs one run, never the suite, and
+    a timed-out run still reports its bounds.  A result written whole
+    counts even if the worker is killed afterwards.  [retry] (default
+    {!no_retry}) re-runs crashed attempts. *)
 
 val run_suite :
   ?progress:(run -> unit) ->

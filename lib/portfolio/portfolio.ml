@@ -3,7 +3,7 @@ module Fault = Msu_guard.Fault
 module Obs = Msu_obs.Obs
 module T = Msu_maxsat.Types
 module M = Msu_maxsat.Maxsat
-module Subproc = Msu_harness.Runner.Subproc
+module Workers = Msu_harness.Workers
 module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 
@@ -180,76 +180,7 @@ module Wire = struct
     let s = Array.copy lits in
     Array.sort compare s;
     String.concat "," (Array.to_list (Array.map string_of_int s))
-
-  (* Complete lines accumulated in [buf]; the trailing partial line (if
-     any) stays buffered. *)
-  let take_lines buf =
-    let s = Buffer.contents buf in
-    match String.rindex_opt s '\n' with
-    | None -> []
-    | Some i ->
-        Buffer.clear buf;
-        Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-        String.split_on_char '\n' (String.sub s 0 i)
-        |> List.filter (fun l -> l <> "")
-
-  (* Per-peer output buffer for a nonblocking pipe: a short write or
-     EAGAIN keeps the unsent tail queued, and the next [flush] (on the
-     select loop's writable round) resumes exactly where the kernel
-     stopped — a broadcast is never torn mid-line or silently dropped. *)
-  module Outbuf = struct
-    type t = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
-
-    let create () = { data = Bytes.create 256; pos = 0; len = 0 }
-    let pending t = t.len > t.pos
-
-    let compact t =
-      if t.pos > 0 then begin
-        Bytes.blit t.data t.pos t.data 0 (t.len - t.pos);
-        t.len <- t.len - t.pos;
-        t.pos <- 0
-      end
-
-    let queue t line =
-      compact t;
-      let n = String.length line + 1 in
-      if t.len + n > Bytes.length t.data then begin
-        let cap = ref (max 256 (Bytes.length t.data)) in
-        while t.len + n > !cap do
-          cap := !cap * 2
-        done;
-        let d = Bytes.create !cap in
-        Bytes.blit t.data 0 d 0 t.len;
-        t.data <- d
-      end;
-      Bytes.blit_string line 0 t.data t.len (n - 1);
-      Bytes.set t.data (t.len + n - 1) '\n';
-      t.len <- t.len + n
-
-    let flush t fd =
-      let continue = ref true in
-      while !continue && pending t do
-        match Unix.write fd t.data t.pos (t.len - t.pos) with
-        | 0 -> continue := false
-        | n -> t.pos <- t.pos + n
-        | exception
-            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-          ->
-            continue := false
-        | exception Unix.Unix_error _ ->
-            (* Dead peer (EPIPE with SIGPIPE ignored): drop the backlog. *)
-            t.pos <- 0;
-            t.len <- 0;
-            continue := false
-      done
-  end
 end
-
-let send_line fd s =
-  let b = Bytes.of_string (s ^ "\n") in
-  try ignore (Unix.write fd b 0 (Bytes.length b)) with Unix.Unix_error _ -> ()
-
-let take_lines = Wire.take_lines
 
 (* Parent-side sharing metrics (the workers are forked, so their
    process-local registries never reach this process). *)
@@ -269,25 +200,12 @@ let m_incumbents =
   Obs.Metrics.counter ~help:"streamed models accepted after parent re-costing"
     "msu_shared_incumbents_total"
 
-(* Worker-exit split (the "label" is in the name: the registry has no
-   label dimension).  Registration is idempotent, so the service reaps
-   into the same pair. *)
-let m_exit_normal =
-  Obs.Metrics.counter ~help:"workers that exited normally (WEXITED)"
-    "msu_worker_exit_total_normal"
-
-let m_exit_signaled =
-  Obs.Metrics.counter ~help:"workers killed by a signal (WSIGNALED/WSTOPPED)"
-    "msu_worker_exit_total_signaled"
-
 (* ---------------- worker (child process) ---------------- *)
 
-let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
+(* Runs in the forked worker ({!Workers.spawn} owns the process set-up,
+   the result file and the exit). *)
+let run_worker ~deadline ~max_conflicts ~down ~up ~index ~observe ~share
     ~seed_ub ~trace_ctx sp w =
-  (* First thing in the child: drop the monotonic clamp inherited from
-     the parent, or our first timestamps (and span durations) would be
-     pinned to whatever the parent last read. *)
-  Obs.after_fork ();
   (match sp.fault with Some k -> Fault.arm k | None -> ());
   (* Kill-mid-flush harness: the frame's trailing newline never leaves
      the worker and no report file is written, so the bound survives
@@ -315,17 +233,17 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
     let lb = G.Progress.lb cell in
     if lb > !sent_lb then begin
       sent_lb := lb;
-      send_line up ("l " ^ string_of_int lb)
+      Workers.write_line up ("l " ^ string_of_int lb)
     end;
     match G.Progress.ub cell with
     | Some u when u < !sent_ub ->
         sent_ub := u;
-        send_line up ("u " ^ string_of_int u);
+        Workers.write_line up ("u " ^ string_of_int u);
         (* Stream the incumbent itself alongside the bound: the parent
            re-costs it, so a model-backed ub survives even a SIGKILL and
            can close a cross-worker gap the bare "u" frame cannot. *)
         (match G.Progress.model cell with
-        | Some m -> send_line up (Wire.model_line ~cost:u m)
+        | Some m -> Workers.write_line up (Wire.model_line ~cost:u m)
         | None -> ())
     | _ -> ()
   in
@@ -345,7 +263,7 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
       | exception Unix.Unix_error _ -> ()
     in
     rd ();
-    take_lines inbuf
+    Workers.take_lines inbuf
     |> List.iter (fun line ->
            match Wire.parse_bounds line with
            | Some (lb, ub) -> G.install_bounds guard ~lb ~ub
@@ -377,7 +295,8 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
      "e <wire>" line, demultiplexed in the parent by its solve id (the
      worker's spec index). *)
   let sink =
-    if observe then Obs.of_fn (fun ev -> send_line up ("e " ^ Obs.Event.to_wire ev))
+    if observe then
+      Obs.of_fn (fun ev -> Workers.write_line up ("e " ^ Obs.Event.to_wire ev))
     else Obs.null
   in
   (* Clause sharing endpoints: exports go straight up the pipe (the up
@@ -389,7 +308,7 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
         {
           T.sh_export =
             (fun ~lbd lits ->
-              send_line up (Wire.clause_line ~lbd (Array.map Lit.to_int lits)));
+              Workers.write_line up (Wire.clause_line ~lbd (Array.map Lit.to_int lits)));
           T.sh_drain =
             (fun () ->
               let l = !imports in
@@ -421,42 +340,23 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~tmp ~index ~observe ~share
       spans;
     }
   in
-  (* Nothing may escape a forked worker: an exception unwinding past
-     this frame would run the parent's continuation (the caller's whole
-     program) a second time in the child.  Trap everything, write what
-     we have, and _exit. *)
-  let result =
-    try
-      let r = M.solve_supervised ~config sp.algorithm w in
-      (* Terminal publication: the parent learns the final bounds from
-         the pipe even before it reaps us and reads the full report. *)
-      G.Progress.note_lb cell (fst (T.outcome_bounds r.T.outcome));
-      publish ();
-      (Ok r : (T.result, string) Stdlib.result)
-    with e -> Error (Printexc.to_string e)
-  in
-  Subproc.write_result tmp result;
-  Unix._exit (match result with Ok _ -> 0 | Error _ -> 2)
+  let r = M.solve_supervised ~config sp.algorithm w in
+  (* Terminal publication: the parent learns the final bounds from the
+     pipe even before it reaps us and reads the full report. *)
+  G.Progress.note_lb cell (fst (T.outcome_bounds r.T.outcome));
+  publish ();
+  r
 
 (* ---------------- parent ---------------- *)
 
 type worker_state = {
   st_index : int;
   st_spec : spec;
-  st_pid : int;
-  st_up : Unix.file_descr;  (* read end of worker's up pipe *)
-  st_down : Unix.file_descr;  (* write end of worker's down pipe *)
-  st_tmp : string;
-  st_buf : Buffer.t;
-  st_out : Wire.Outbuf.t;  (* unsent down-pipe bytes, flushed on select *)
   mutable st_lb : int;  (* best bounds this worker published *)
   mutable st_ub : int;  (* max_int = none *)
   mutable st_model : (int * bool array) option;
       (* best streamed incumbent, re-costed by the parent *)
-  mutable st_alive : bool;
-  mutable st_eof : bool;
-  mutable st_report : (T.result, string) Stdlib.result option;
-  mutable st_status : Unix.process_status option;
+  mutable st_result : (T.result, string) Stdlib.result;  (* set at reap *)
 }
 
 let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
@@ -503,14 +403,10 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     else None
   in
   let deadline = match timeout with None -> infinity | Some t -> t0 +. t in
-  let flush = Subproc.flush_grace grace in
-  let term_at = deadline +. grace in
   (* A worker that died mid-broadcast must not kill the parent. *)
   let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   Fun.protect ~finally:(fun () -> Sys.set_signal Sys.sigpipe old_sigpipe)
   @@ fun () ->
-  (* All pipes are created before any fork so every child can close the
-     ends that belong to its siblings. *)
   let observe = not (Obs.is_null sink) in
   (* Trace context handed to every worker at fork time; the anchor is
      the caller's request span, so worker spans re-parent under it. *)
@@ -519,80 +415,10 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
       Some (Obs.Span.trace_id spans, Obs.Span.current spans)
     else None
   in
-  let plumbing =
-    List.mapi
-      (fun index sp ->
-        let down_rd, down_wr = Unix.pipe () in
-        let up_rd, up_wr = Unix.pipe () in
-        (index, sp, Filename.temp_file "msu-portfolio" ".bin", down_rd, down_wr,
-         up_rd, up_wr))
-      specs
-  in
-  (* Children inherit the SIGTERM→cancel disposition from the fork
-     itself, so a cancellation arriving before a child finishes its own
-     setup still trips its guard instead of killing it outright (the
-     parent's disposition is restored once every worker is forked; with
-     no cancel target registered the inherited handler is a no-op until
-     the worker registers its guard). *)
-  let old_sigterm =
-    Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> G.cancel_current ()))
-  in
-  (* Mutable: the lazy SLS rider (below) appends a late-forked worker
+  let pool = Workers.create ~sink ~grace () in
+  (* Spec order; the lazy SLS rider (below) appends a late-forked worker
      while the pump is already running. *)
-  let states =
-    ref
-    @@ List.map
-      (fun (index, sp, tmp, down_rd, down_wr, up_rd, up_wr) ->
-        match Unix.fork () with
-        | 0 ->
-            (* When the parent fields Ctrl-C for the whole portfolio,
-               the terminal's SIGINT must not also kill the workers
-               directly — the parent's SIGTERM ladder is what lets them
-               flush their partial bounds first. *)
-            if handle_sigint then Sys.set_signal Sys.sigint Sys.Signal_ignore;
-            List.iter
-              (fun (_, _, _, dr, dw, ur, uw) ->
-                List.iter
-                  (fun fd ->
-                    if fd <> down_rd && fd <> up_wr then
-                      try Unix.close fd with Unix.Unix_error _ -> ())
-                  [ dr; dw; ur; uw ])
-              plumbing;
-            Subproc.child_setup
-              ~alarm_after:
-                (match timeout with
-                | None -> infinity
-                | Some t -> t +. (2. *. grace) +. flush)
-              ();
-            run_worker ~deadline ~max_conflicts ~down:down_rd ~up:up_wr ~tmp ~index
-              ~observe ~share:share_clauses
-              ~seed_ub:(Option.map fst seed_incumbent)
-              ~trace_ctx sp w
-        | pid ->
-            Unix.close down_rd;
-            Unix.close up_wr;
-            Unix.set_nonblock down_wr;
-            Obs.emit sink ~id:index (Obs.Event.Worker_spawn { pid });
-            {
-              st_index = index;
-              st_spec = sp;
-              st_pid = pid;
-              st_up = up_rd;
-              st_down = down_wr;
-              st_tmp = tmp;
-              st_buf = Buffer.create 128;
-              st_out = Wire.Outbuf.create ();
-              st_lb = 0;
-              st_ub = max_int;
-              st_model = None;
-              st_alive = true;
-              st_eof = false;
-              st_report = None;
-              st_status = None;
-            })
-      plumbing
-  in
-  Sys.set_signal Sys.sigterm old_sigterm;
+  let states = ref [] in
   let num_specs = List.length specs in
   let best_lb = ref 0
   and best_ub =
@@ -603,45 +429,24 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
   (match seed_incumbent with
   | Some (c, _) -> say "c [portfolio] sls pre-seed -> ub %d (installed at fork)" c
   | None -> ());
-  let cancel_started = ref None in
+  let cancelling = ref false in
   let cancel_all why =
-    if !cancel_started = None then begin
+    if not !cancelling then begin
       say "c [portfolio] cancelling remaining workers (%s)" why;
-      cancel_started := Some (Unix.gettimeofday ());
-      List.iter
-        (fun st -> if st.st_alive then Subproc.kill st.st_pid Sys.sigterm)
-        !states
+      cancelling := true;
+      List.iter (fun (_, wk) -> Workers.cancel wk) !states
     end
   in
-  (* Ctrl-C in the parent cancels the whole race through the ladder:
-     workers get SIGTERM, flush their bounds, and the normal merge
-     still runs — no orphaned children, no lost partial bounds. *)
-  let old_sigint =
-    if handle_sigint then
-      Some
-        (Sys.signal Sys.sigint
-           (Sys.Signal_handle (fun _ -> cancel_all "interrupt")))
-    else None
-  in
-  let restore_sigint () =
-    match old_sigint with
-    | Some h -> Sys.set_signal Sys.sigint h
-    | None -> ()
-  in
-  (* All parent->worker traffic goes through the per-worker out-buffer:
-     the down pipes are nonblocking, so a full pipe (or a short write)
-     parks the tail in the buffer and the pump's writable-select round
-     finishes the job — no torn or dropped broadcast. *)
-  let send st line =
-    Wire.Outbuf.queue st.st_out line;
-    Wire.Outbuf.flush st.st_out st.st_down
-  in
+  (* All parent->worker traffic goes through the worker's down-pipe
+     buffer ({!Workers.send}): a full pipe parks the tail and the pump's
+     writable-select round finishes the job — no torn or dropped
+     broadcast. *)
   let broadcast () =
     let line =
       Wire.bounds_line ~lb:!best_lb
         ~ub:(if !best_ub = max_int then None else Some !best_ub)
     in
-    List.iter (fun st -> if st.st_alive then send st line) !states
+    List.iter (fun (_, wk) -> Workers.send wk line) !states
   in
   (* Fold worker bounds into the global bracket; rebroadcast on
      improvement and start cancellation once the bracket collapses. *)
@@ -720,9 +525,8 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
               Obs.Metrics.inc m_shared;
               let frame = Wire.clause_line ~lbd lits in
               List.iter
-                (fun st' ->
-                  if st'.st_alive && st'.st_index <> st.st_index then
-                    send st' frame)
+                (fun (st', wk) ->
+                  if st'.st_index <> st.st_index then Workers.send wk frame)
                 !states
             end
         | Some _ -> Obs.Metrics.inc m_shared_rej
@@ -736,65 +540,60 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
         | None -> ())
     | _ -> ()
   in
-  let read_worker st =
-    let chunk = Bytes.create 1024 in
-    match Unix.read st.st_up chunk 0 (Bytes.length chunk) with
-    | 0 ->
-        st.st_eof <- true;
-        (* EOF flush: a worker killed mid-write leaves its last frame
-           without the trailing newline — it is still a complete
-           prefix-validated line more often than not, and dropping it
-           here would lose the final certified bound. *)
-        let rest = Buffer.contents st.st_buf in
-        Buffer.clear st.st_buf;
-        if rest <> "" then
-          String.split_on_char '\n' rest
-          |> List.iter (fun l -> if l <> "" then handle_line st l)
-    | n ->
-        Buffer.add_subbytes st.st_buf chunk 0 n;
-        take_lines st.st_buf |> List.iter (handle_line st)
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-      ->
-        ()
+  let on_exit st (e : T.result Workers.exit) =
+    st.st_result <- e.Workers.result;
+    match e.Workers.result with
+    | Ok r -> (
+        let lb, ub = T.outcome_bounds r.T.outcome in
+        note_bounds st lb ub;
+        match r.T.outcome with
+        | T.Optimum _ | T.Hard_unsat -> cancel_all ("decided by " ^ st.st_spec.label)
+        | T.Bounds _ | T.Crashed _ -> ())
+    | Error _ -> ()
   in
-  let reap st =
-    match Unix.waitpid [ Unix.WNOHANG ] st.st_pid with
-    | 0, _ -> ()
-    | _, status ->
-        st.st_alive <- false;
-        st.st_status <- Some status;
-        (* Drain the pipe all the way to EOF before reporting the exit:
-           the event stream stays causally ordered, and a frame torn by
-           the death — bytes with no trailing newline — still reaches
-           the EOF residual flush below.  A single read is not enough:
-           it can return the torn bytes without the EOF, and a dead
-           worker never re-enters the select set, so the residual would
-           sit in the buffer forever.  Looping is safe because the child
-           was the pipe's last writer, so reads return data then 0. *)
-        while not st.st_eof do
-          read_worker st
-        done;
-        let code, signaled =
-          match status with
-          | Unix.WEXITED n -> (n, false)
-          | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, true)
-        in
-        Obs.Metrics.inc (if signaled then m_exit_signaled else m_exit_normal);
-        Obs.emit sink ~id:st.st_index
-          (Obs.Event.Worker_exit { pid = st.st_pid; status = code; signaled });
-        st.st_report <- Subproc.read_result st.st_tmp;
-        (match st.st_report with
-        | Some (Ok r) -> (
-            let lb, ub = T.outcome_bounds r.T.outcome in
-            note_bounds st lb ub;
-            match r.T.outcome with
-            | T.Optimum _ | T.Hard_unsat ->
-                cancel_all ("decided by " ^ st.st_spec.label)
-            | T.Bounds _ | T.Crashed _ -> ())
-        | Some (Error _) | None -> ())
-    | exception Unix.Unix_error _ ->
-        st.st_alive <- false;
-        st.st_report <- Subproc.read_result st.st_tmp
+  let spawn_worker index sp ~seed_ub =
+    let st =
+      {
+        st_index = index;
+        st_spec = sp;
+        st_lb = 0;
+        st_ub = max_int;
+        st_model = None;
+        st_result = Error "worker not reaped";
+      }
+    in
+    (* When the parent fields Ctrl-C for the whole portfolio, the
+       terminal's SIGINT must not also kill the workers directly — the
+       parent's SIGTERM ladder is what lets them flush their partial
+       bounds first. *)
+    let wk =
+      Workers.spawn pool ~id:index ~ignore_sigint:handle_sigint ~down:true ~deadline
+        ~on_line:(handle_line st) ~on_exit:(on_exit st)
+        (fun ~up ~down ->
+          run_worker ~deadline ~max_conflicts ~down:(Option.get down) ~up ~index
+            ~observe ~share:share_clauses ~seed_ub ~trace_ctx sp w)
+    in
+    states := !states @ [ (st, wk) ];
+    wk
+  in
+  List.iteri
+    (fun index sp ->
+      ignore (spawn_worker index sp ~seed_ub:(Option.map fst seed_incumbent)))
+    specs;
+  (* Ctrl-C in the parent cancels the whole race through the ladder:
+     workers get SIGTERM, flush their bounds, and the normal merge
+     still runs — no orphaned children, no lost partial bounds. *)
+  let old_sigint =
+    if handle_sigint then
+      Some
+        (Sys.signal Sys.sigint
+           (Sys.Signal_handle (fun _ -> cancel_all "interrupt")))
+    else None
+  in
+  let restore_sigint () =
+    match old_sigint with
+    | Some h -> Sys.set_signal Sys.sigint h
+    | None -> ()
   in
   (* Lazy SLS rider.  Forked only if the race outlives the startup
      delay AND nobody holds a model-backed incumbent by then: an
@@ -809,76 +608,21 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
   in
   let rider_spawned = ref (not sls_worker) in
   let spawn_rider () =
-    let sp = spec M.Sls in
-    let index = num_specs in
-    let tmp = Filename.temp_file "msu-portfolio" ".bin" in
-    let down_rd, down_wr = Unix.pipe () in
-    let up_rd, up_wr = Unix.pipe () in
-    let siblings = !states in
-    (* Same SIGTERM-inheritance dance as the main fork loop: a cancel
-       racing the fork must trip the child's guard, not kill it raw. *)
-    let prev_sigterm =
-      Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> G.cancel_current ()))
+    let wk =
+      spawn_worker num_specs (spec M.Sls)
+        ~seed_ub:(if !best_ub = max_int then None else Some !best_ub)
     in
-    match Unix.fork () with
-    | 0 ->
-        if handle_sigint then Sys.set_signal Sys.sigint Sys.Signal_ignore;
-        List.iter
-          (fun st ->
-            List.iter
-              (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-              [ st.st_up; st.st_down ])
-          siblings;
-        (try Unix.close down_wr with Unix.Unix_error _ -> ());
-        (try Unix.close up_rd with Unix.Unix_error _ -> ());
-        Subproc.child_setup
-          ~alarm_after:
-            (match timeout with
-            | None -> infinity
-            | Some t -> t +. (2. *. grace) +. flush)
-          ();
-        run_worker ~deadline ~max_conflicts ~down:down_rd ~up:up_wr ~tmp ~index
-          ~observe ~share:share_clauses
-          ~seed_ub:(if !best_ub = max_int then None else Some !best_ub)
-          ~trace_ctx sp w
-    | pid ->
-        Sys.set_signal Sys.sigterm prev_sigterm;
-        Unix.close down_rd;
-        Unix.close up_wr;
-        Unix.set_nonblock down_wr;
-        Obs.emit sink ~id:index (Obs.Event.Worker_spawn { pid });
-        let st =
-          {
-            st_index = index;
-            st_spec = sp;
-            st_pid = pid;
-            st_up = up_rd;
-            st_down = down_wr;
-            st_tmp = tmp;
-            st_buf = Buffer.create 128;
-            st_out = Wire.Outbuf.create ();
-            st_lb = 0;
-            st_ub = max_int;
-            st_model = None;
-            st_alive = true;
-            st_eof = false;
-            st_report = None;
-            st_status = None;
-          }
-        in
-        states := !states @ [ st ];
-        say "c [portfolio] sls rider forked at +%.2fs"
-          (Unix.gettimeofday () -. t0);
-        (* Catch the rider up on the bracket it missed. *)
-        send st
-          (Wire.bounds_line ~lb:!best_lb
-             ~ub:(if !best_ub = max_int then None else Some !best_ub))
+    say "c [portfolio] sls rider forked at +%.2fs" (Unix.gettimeofday () -. t0);
+    (* Catch the rider up on the bracket it missed. *)
+    Workers.send wk
+      (Wire.bounds_line ~lb:!best_lb
+         ~ub:(if !best_ub = max_int then None else Some !best_ub))
   in
   let rec pump () =
     if
       (not !rider_spawned)
-      && !cancel_started = None
-      && List.exists (fun st -> st.st_alive) !states
+      && (not !cancelling)
+      && Workers.running pool > 0
       && Unix.gettimeofday () -. t0 >= rider_delay
     then begin
       (* Decided once, at the delay boundary: incumbents only ever
@@ -886,67 +630,23 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
       rider_spawned := true;
       if
         seed_incumbent = None
-        && List.for_all (fun st -> st.st_model = None) !states
+        && List.for_all (fun (st, _) -> st.st_model = None) !states
       then spawn_rider ()
     end;
-    List.iter (fun st -> if st.st_alive then reap st) !states;
-    if List.exists (fun st -> st.st_alive) !states then begin
-      let fds =
-        List.filter_map
-          (fun st -> if st.st_alive && not st.st_eof then Some st.st_up else None)
-          !states
-      in
-      let now = Unix.gettimeofday () in
-      let till_ladder =
-        match !cancel_started with
-        | Some t -> t +. flush -. now
-        | None -> term_at -. now
-      in
-      let tmo =
-        if Float.is_finite till_ladder then Float.min 0.05 (Float.max 0.0 till_ladder)
-        else 0.05
-      in
-      let wfds =
-        List.filter_map
-          (fun st ->
-            if st.st_alive && Wire.Outbuf.pending st.st_out then Some st.st_down
-            else None)
-          !states
-      in
-      (match Unix.select fds wfds [] tmo with
-      | readable, writable, _ ->
-          List.iter
-            (fun st -> if List.mem st.st_up readable then read_worker st)
-            !states;
-          List.iter
-            (fun st ->
-              if List.mem st.st_down writable then
-                Wire.Outbuf.flush st.st_out st.st_down)
-            !states
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
-      let now = Unix.gettimeofday () in
-      (match !cancel_started with
-      | Some t ->
-          if now > t +. flush then
-            List.iter
-              (fun st -> if st.st_alive then Subproc.kill st.st_pid Sys.sigkill)
-              !states
-      | None -> if now > term_at then cancel_all "timeout");
+    if Workers.running pool > 0 then begin
+      (* The pool's ladder cancels workers past [deadline + grace]; the
+         short timeout only keeps the rider decision on time. *)
+      ignore (Workers.poll pool ~timeout:0.05 ());
       pump ()
     end
   in
   Fun.protect ~finally:restore_sigint pump;
-  List.iter
-    (fun st ->
-      (try Unix.close st.st_up with Unix.Unix_error _ -> ());
-      (try Unix.close st.st_down with Unix.Unix_error _ -> ());
-      try Sys.remove st.st_tmp with Sys_error _ -> ())
-    !states;
+  let states = List.map fst !states in
   let elapsed = Unix.gettimeofday () -. t0 in
   (* ---- merge ---- *)
   let report_of st =
-    match st.st_report with
-    | Some (Ok r) ->
+    match st.st_result with
+    | Ok r ->
         {
           w_label = st.st_spec.label;
           w_algorithm = st.st_spec.algorithm;
@@ -954,15 +654,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
           w_time = r.T.elapsed;
           w_stats = r.T.stats;
         }
-    | Some (Error _) | None ->
-        let reason =
-          match (st.st_report, st.st_status) with
-          | Some (Error reason), _ -> reason
-          | _, Some (Unix.WSIGNALED n) ->
-              Printf.sprintf "worker killed (signal %d)" n
-          | _, Some (Unix.WEXITED n) -> Printf.sprintf "worker exit %d" n
-          | _, _ -> "worker produced no result"
-        in
+    | Error reason ->
         {
           w_label = st.st_spec.label;
           w_algorithm = st.st_spec.algorithm;
@@ -977,7 +669,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
           w_stats = T.empty_stats;
         }
   in
-  let reports = List.map report_of !states in
+  let reports = List.map report_of states in
   let stats =
     List.fold_left (fun acc r -> T.merge_stats acc r.w_stats) T.empty_stats reports
   in
@@ -1004,19 +696,19 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
   let candidates =
     List.filter_map
       (fun st ->
-        match st.st_report with
-        | Some (Ok r) -> (
+        match st.st_result with
+        | Ok r -> (
             match (r.T.model, snd (T.outcome_bounds r.T.outcome)) with
             | Some m, Some u -> Some (u, m, st.st_spec.label)
             | _ -> None)
         | _ -> None)
-      !states
+      states
     @ List.filter_map
         (fun st ->
           match st.st_model with
           | Some (c, m) -> Some (c, m, st.st_spec.label)
           | None -> None)
-        !states
+        states
     @ (match seed_incumbent with
       | Some (c, m) -> [ (c, m, "sls-seed") ]
       | None -> [])
@@ -1060,12 +752,12 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
         let model =
           List.find_map
             (fun st ->
-              match st.st_report with
-              | Some (Ok { T.outcome = T.Optimum c'; model = Some m; _ })
+              match st.st_result with
+              | Ok { T.outcome = T.Optimum c'; model = Some m; _ }
                 when c' = c ->
                   Some m
               | _ -> None)
-            !states
+            states
         in
         (T.Optimum c, model, Some l)
     | [] when hard_unsat <> [] -> (T.Hard_unsat, None, Some (List.hd hard_unsat))

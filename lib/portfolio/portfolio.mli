@@ -1,8 +1,8 @@
 (** Process-parallel algorithm portfolio with live bound sharing.
 
-    One instance, [N] forked workers, each running a different
-    algorithm.  Workers publish every improved
-    lower/upper bound to the parent over a pipe; the parent keeps the
+    One instance, [N] forked workers ({!Msu_harness.Workers}), each
+    running a different algorithm.  Workers publish every improved
+    lower/upper bound to the parent over their up pipe; the parent keeps the
     best global bracket and rebroadcasts it, and each worker installs
     the broadcast through its {!Msu_guard.Guard} — msu4 tightens its
     at-most bound with a peer's upper bound, and any worker stops the
@@ -35,9 +35,10 @@
     model-backed by construction (the parent re-costed them) and may
     decide an optimum when a peer proves the matching lower bound. *)
 
-(** The line-oriented pipe protocol: encoders, validating parsers, the
-    dedup digest, and the retrying output buffer.  Exposed for the wire
-    fuzz tests; {!solve} is the only intended production entry. *)
+(** The line-oriented pipe protocol: encoders, validating parsers and
+    the dedup digest.  Line framing and the down pipe's retrying output
+    buffer belong to {!Msu_harness.Workers}.  Exposed for the wire fuzz
+    tests; {!solve} is the only intended production entry. *)
 module Wire : sig
   val bounds_line : lb:int -> ub:int option -> string
 
@@ -61,23 +62,6 @@ module Wire : sig
 
   val digest : int array -> string
   (** Order-independent dedup key: the sorted packed literals. *)
-
-  val take_lines : Buffer.t -> string list
-  (** Complete lines accumulated in the buffer; the trailing partial
-      line (if any) stays buffered for the next read. *)
-
-  (** Output buffering for a nonblocking pipe: [queue] appends a line,
-      [flush] writes as much as the kernel accepts and keeps the rest
-      for the next round — short writes and [EAGAIN] never tear or drop
-      a frame. *)
-  module Outbuf : sig
-    type t
-
-    val create : unit -> t
-    val queue : t -> string -> unit
-    val flush : t -> Unix.file_descr -> unit
-    val pending : t -> bool
-  end
 end
 
 type spec = {

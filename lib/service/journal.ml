@@ -54,6 +54,8 @@ let close t =
   t.dead <- true;
   try Unix.close t.fd with Unix.Unix_error _ -> ()
 
+let fd t = t.fd
+
 let replay path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
   | exception Unix.Unix_error _ -> []

@@ -48,3 +48,6 @@ val append : t -> record -> unit
     survives. *)
 
 val close : t -> unit
+
+val fd : t -> Unix.file_descr
+(** The open journal file, which a forked worker must not hold. *)

@@ -4,7 +4,7 @@ module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
 module G = Msu_guard.Guard
 module Fault = Msu_guard.Fault
-module Subproc = Msu_harness.Runner.Subproc
+module Workers = Msu_harness.Workers
 module Ck = Msu_guard.Checkpoint
 module P = Protocol
 module Obs = Msu_obs.Obs
@@ -86,17 +86,10 @@ type job = {
 
 type slot = {
   sl_job : job;
-  sl_pid : int;
-  sl_tmp : string;
-  sl_ev : Unix.file_descr option;  (* worker's event pipe (read end) *)
-  sl_ev_buf : Buffer.t;
-  sl_ck : Unix.file_descr;  (* worker's checkpoint pipe (read end) *)
-  sl_ck_reader : Ck.reader;
+  sl_worker : T.result Workers.worker;
+  sl_ck : Ck.reader;  (* the worker's checkpoint frames *)
   sl_solve : Obs.Span.h option;  (* worker-solve span, closed at reap *)
   sl_started : float;
-  mutable sl_term_at : float;  (* when the SIGTERM rung fires *)
-  mutable sl_termed : bool;
-  mutable sl_killed : bool;
   mutable sl_cancelled : bool;
 }
 
@@ -106,6 +99,7 @@ type state = {
   started : float;
   mutable conns : conn list;
   queue : job Jobq.t;
+  pool : T.result Workers.t;
   mutable slots : slot list;
   mutable retries : job list;  (* crashed jobs awaiting their backoff *)
   cache : Cache.t;
@@ -155,14 +149,6 @@ let m_hit_rate =
 let m_retries =
   Obs.Metrics.counter ~help:"crashed workers respawned with a warm checkpoint"
     "msu_service_retries_total"
-
-let m_exit_normal =
-  Obs.Metrics.counter ~help:"workers that exited normally (WEXITED)"
-    "msu_worker_exit_total_normal"
-
-let m_exit_signaled =
-  Obs.Metrics.counter ~help:"workers killed by a signal (WSIGNALED/WSTOPPED)"
-    "msu_worker_exit_total_signaled"
 
 let m_replayed =
   Obs.Metrics.counter ~help:"jobs re-enqueued from the journal at startup"
@@ -323,154 +309,6 @@ let abandon_profile st job =
 
 (* ---------------- worker pool ---------------- *)
 
-let spawn st job =
-  let timeout =
-    Option.value job.j_options.P.timeout ~default:st.cfg.default_timeout
-  in
-  let flush = Subproc.flush_grace st.cfg.grace in
-  let tmp = Filename.temp_file "msu-serve" ".bin" in
-  (* Event pipe: the worker's typed events cross to the daemon as one
-     "wire" line each, stamped with the job id so the daemon's single
-     sink demultiplexes by request. *)
-  let ev_pipe =
-    if Obs.is_null st.cfg.sink && st.cfg.profile_dir = None then None
-    else Some (Unix.pipe ())
-  in
-  let ck_rd, ck_wr = Unix.pipe () in
-  job.j_attempts <- job.j_attempts + 1;
-  (* The worker-solve span opens before the fork so the child can hang
-     its own tracer under it: worker spans crossing back over the event
-     pipe then re-parent under this request's timeline by construction. *)
-  let solve_h =
-    if Obs.Span.enabled job.j_spans then
-      Some (Obs.Span.start job.j_spans "worker_solve")
-    else None
-  in
-  let trace_ctx =
-    match solve_h with
-    | Some h -> Some (Obs.Span.trace_id job.j_spans, Obs.Span.span_of h)
-    | None -> None
-  in
-  match Unix.fork () with
-  | 0 ->
-      Obs.after_fork ();
-      (* The worker owns nothing of the daemon: close the listener,
-         every client connection, the journal, and the sibling workers'
-         pipes, then detach from the terminal's Ctrl-C — the parent's
-         SIGTERM ladder governs this process. *)
-      List.iter
-        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-        (st.listen_fd :: List.map (fun c -> c.c_fd) st.conns);
-      List.iter
-        (fun sl ->
-          (match sl.sl_ev with
-          | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ());
-          try Unix.close sl.sl_ck with Unix.Unix_error _ -> ())
-        st.slots;
-      (match st.journal with Some j -> Journal.close j | None -> ());
-      Sys.set_signal Sys.sigint Sys.Signal_ignore;
-      (match ev_pipe with
-      | Some (rd, _) -> ( try Unix.close rd with Unix.Unix_error _ -> ())
-      | None -> ());
-      (try Unix.close ck_rd with Unix.Unix_error _ -> ());
-      Subproc.child_setup
-        ~alarm_after:(timeout +. (2. *. st.cfg.grace) +. flush)
-        ();
-      (match job.j_options.P.fault with Some k -> Fault.arm k | None -> ());
-      let t0 = Unix.gettimeofday () in
-      let deadline = t0 +. timeout in
-      let guard =
-        G.create ~deadline ?max_conflicts:job.j_options.P.max_conflicts ()
-      in
-      G.set_cancel_target guard;
-      let sink =
-        match ev_pipe with
-        | None -> Obs.null
-        | Some (_, wr) ->
-            Obs.of_fn (fun e ->
-                let line = Obs.Event.to_wire e ^ "\n" in
-                let b = Bytes.of_string line in
-                try ignore (Unix.write wr b 0 (Bytes.length b))
-                with Unix.Unix_error _ -> ())
-      in
-      let spans =
-        match trace_ctx with
-        | Some (trace, parent) ->
-            Obs.Span.create ~trace ~parent ~sink ~id:job.j_id ()
-        | None -> Obs.Span.disabled
-      in
-      let cell = G.Progress.create () in
-      (* Stream warm-resume checkpoints to the daemon on the guard's
-         ticker cadence; a retried attempt starts from the best bracket
-         the previous one managed to flush. *)
-      G.set_ticker guard (Ck.writer ck_wr cell);
-      let config =
-        {
-          T.default_config with
-          T.deadline;
-          max_conflicts = job.j_options.P.max_conflicts;
-          encoding =
-            Option.value job.j_options.P.encoding
-              ~default:T.default_config.T.encoding;
-          sink;
-          spans;
-          solve_id = job.j_id;
-          guard = Some guard;
-          progress = Some cell;
-          resume = (if Ck.is_empty job.j_ck then None else Some job.j_ck);
-        }
-      in
-      let result =
-        try
-          Ok (M.solve_supervised ~config job.j_options.P.algorithm job.j_wcnf)
-        with e -> Error (Printexc.to_string e)
-      in
-      Subproc.write_result tmp (result : (T.result, string) result);
-      Unix._exit 0
-  | pid ->
-      let now = Unix.gettimeofday () in
-      say st "job %d -> worker %d (%s, timeout %.1fs%s)" job.j_id pid
-        (M.algorithm_to_string job.j_options.P.algorithm)
-        timeout
-        (if job.j_attempts > 1 then
-           Printf.sprintf ", attempt %d%s" job.j_attempts
-             (if Ck.is_empty job.j_ck then ""
-              else
-                Printf.sprintf ", warm lb=%d%s" job.j_ck.Ck.lb
-                  (match job.j_ck.Ck.ub with
-                  | Some u -> Printf.sprintf " ub=%d" u
-                  | None -> ""))
-         else "");
-      let ev_fd =
-        match ev_pipe with
-        | None -> None
-        | Some (rd, wr) ->
-            (try Unix.close wr with Unix.Unix_error _ -> ());
-            Unix.set_nonblock rd;
-            Some rd
-      in
-      (try Unix.close ck_wr with Unix.Unix_error _ -> ());
-      Unix.set_nonblock ck_rd;
-      ev st ~id:job.j_id (Obs.Event.Worker_spawn { pid });
-      st.slots <-
-        {
-          sl_job = job;
-          sl_pid = pid;
-          sl_tmp = tmp;
-          sl_ev = ev_fd;
-          sl_ev_buf = Buffer.create 256;
-          sl_ck = ck_rd;
-          sl_ck_reader = Ck.reader ();
-          sl_solve = solve_h;
-          sl_started = now;
-          sl_term_at = now +. timeout +. st.cfg.grace;
-          sl_termed = false;
-          sl_killed = false;
-          sl_cancelled = false;
-        }
-        :: st.slots
-
 let complete st ?(was_cancelled = false) job (r : T.result) =
   let elapsed = Unix.gettimeofday () -. job.j_submitted in
   st.completed <- st.completed + 1;
@@ -500,64 +338,6 @@ let complete st ?(was_cancelled = false) job (r : T.result) =
     (P.Result
        { id = job.j_id; outcome = r.T.outcome; model; cached = false; elapsed })
 
-(* Drain the worker's event pipe and re-emit every complete line into
-   the daemon's sink; events keep the worker-side id (the job id) and
-   timestamp. *)
-let read_events st sl =
-  match sl.sl_ev with
-  | None -> ()
-  | Some fd ->
-      let chunk = Bytes.create 8192 in
-      (try
-         let rec rd () =
-           match Unix.read fd chunk 0 (Bytes.length chunk) with
-           | 0 -> ()
-           | n ->
-               Buffer.add_subbytes sl.sl_ev_buf chunk 0 n;
-               rd ()
-           | exception
-               Unix.Unix_error
-                 ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-               ()
-         in
-         rd ()
-       with Unix.Unix_error _ -> ());
-      let data = Buffer.contents sl.sl_ev_buf in
-      Buffer.clear sl.sl_ev_buf;
-      let rec go start =
-        match String.index_from_opt data start '\n' with
-        | None ->
-            Buffer.add_substring sl.sl_ev_buf data start
-              (String.length data - start)
-        | Some nl ->
-            (match Obs.Event.of_wire (String.sub data start (nl - start)) with
-            | Some e ->
-                Obs.feed st.cfg.sink e;
-                collect st e
-            | None -> ());
-            go (nl + 1)
-      in
-      go 0
-
-(* Pump the worker's checkpoint pipe; the reader keeps the newest
-   intact frame and drops torn ones. *)
-let read_ck sl =
-  let chunk = Bytes.create 4096 in
-  try
-    let rec rd () =
-      match Unix.read sl.sl_ck chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-          Ck.feed sl.sl_ck_reader (Bytes.sub_string chunk 0 n);
-          rd ()
-      | exception
-          Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-    in
-    rd ()
-  with Unix.Unix_error _ -> ()
-
 (* Exhausted retries degrade to the checkpointed bracket instead of a
    bare crash report: the lb is certified, and the ub survives only
    when its incumbent model re-verifies against the instance (the dying
@@ -582,121 +362,171 @@ let salvage wcnf ck (r : T.result) =
             { r with T.outcome = T.Bounds { lb = ck.Ck.lb; ub = None }; model = None })
   | _ -> r
 
-let reap st =
-  let still_running = ref [] in
-  List.iter
-    (fun sl ->
-      let finished =
-        match Unix.waitpid [ Unix.WNOHANG ] sl.sl_pid with
-        | 0, _ -> None
-        | _, status -> Some status
-        | exception Unix.Unix_error _ -> Some (Unix.WEXITED 255)
+(* The worker is reaped: fold its checkpoints into the job, close its
+   span, then either respawn the job or deliver the result. *)
+let worker_exited st job (e : T.result Workers.exit) =
+  let sl = List.find (fun sl -> sl.sl_job == job) st.slots in
+  st.slots <- List.filter (fun sl' -> sl' != sl) st.slots;
+  (match Ck.latest sl.sl_ck with
+  | Some ck -> job.j_ck <- Ck.merge job.j_ck ck
+  | None -> ());
+  (* The pipe is drained, so every worker span it carried lands inside
+     the worker_solve interval. *)
+  (match sl.sl_solve with
+  | Some h ->
+      let code =
+        match e.Workers.status with
+        | Unix.WEXITED n -> n
+        | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
       in
-      match finished with
-      | None ->
-          read_events st sl;
-          read_ck sl;
-          still_running := sl :: !still_running
-      | Some status ->
-          (* Final drain before the exit marker so the per-job stream
-             stays causally ordered, then release the pipes. *)
-          read_events st sl;
-          read_ck sl;
-          (match sl.sl_ev with
-          | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-          | None -> ());
-          (try Unix.close sl.sl_ck with Unix.Unix_error _ -> ());
-          let job = sl.sl_job in
-          (match Ck.latest sl.sl_ck_reader with
-          | Some ck -> job.j_ck <- Ck.merge job.j_ck ck
-          | None -> ());
-          let code, signaled =
-            match status with
-            | Unix.WEXITED n -> (n, false)
-            | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, true)
-          in
-          Obs.Metrics.inc (if signaled then m_exit_signaled else m_exit_normal);
-          ev st ~id:job.j_id
-            (Obs.Event.Worker_exit { pid = sl.sl_pid; status = code; signaled });
-          (* Close after the final event drain so every worker span the
-             pipe carried lands inside the worker_solve interval. *)
-          (match sl.sl_solve with
-          | Some h -> Obs.Span.stop job.j_spans ~c1:code h
-          | None -> ());
-          let result = Subproc.read_result sl.sl_tmp in
-          (try Sys.remove sl.sl_tmp with Sys_error _ -> ());
-          let crashed reason =
-            {
-              T.outcome = T.Crashed { reason; lb = 0; ub = None };
-              model = None;
-              stats = T.empty_stats;
-              elapsed = Unix.gettimeofday () -. sl.sl_started;
-            }
-          in
-          let r =
-            match (status, result) with
-            | Unix.WEXITED 0, Some (Ok r) -> r
-            | _, Some (Ok r) -> r  (* flushed result survives a late kill *)
-            | _, Some (Error reason) -> crashed reason
-            | Unix.WEXITED n, None ->
-                crashed (Printf.sprintf "worker exit %d" n)
-            | (Unix.WSIGNALED n | Unix.WSTOPPED n), None ->
-                crashed (Printf.sprintf "worker killed (signal %d)" n)
-          in
-          (* A worker that died on its own (not the daemon's budget
-             ladder, not a cancel) gets another attempt, warm-resumed
-             from its checkpoint, until the attempt cap.  Fault
-             injection is stripped so a test-armed crash cannot recur
-             forever. *)
-          let died_spontaneously = (not sl.sl_termed) && not sl.sl_cancelled in
-          let unsound = match r.T.outcome with T.Crashed _ -> true | _ -> false in
-          (* crashes count worker deaths, not final outcomes: a crash
-             the checkpoint salvages into Bounds (or a retry solves)
-             still happened *)
-          if unsound && not sl.sl_cancelled then st.crashes <- st.crashes + 1;
-          if
-            unsound && died_spontaneously
-            && job.j_attempts < st.cfg.max_attempts
-          then begin
-            job.j_options <- { job.j_options with P.fault = None };
-            job.j_not_before <-
-              Unix.gettimeofday ()
-              +. (st.cfg.retry_backoff
-                 *. (2. ** float_of_int (job.j_attempts - 1)));
-            Obs.Metrics.inc m_retries;
-            say st "job %d: worker died (attempt %d/%d), respawning%s" job.j_id
-              job.j_attempts st.cfg.max_attempts
-              (if Ck.is_empty job.j_ck then ""
-               else Printf.sprintf " from checkpoint lb=%d" job.j_ck.Ck.lb);
-            st.retries <- st.retries @ [ job ]
-          end
-          else begin
-            let r = if sl.sl_cancelled then r else salvage job.j_wcnf job.j_ck r in
-            say st "job %d done: %s" job.j_id
-              (Format.asprintf "%a" T.pp_outcome r.T.outcome);
-            complete st ~was_cancelled:sl.sl_cancelled job r
-          end)
-    st.slots;
-  st.slots <- !still_running
+      Obs.Span.stop job.j_spans ~c1:code h
+  | None -> ());
+  let r =
+    match e.Workers.result with
+    | Ok r -> r
+    | Error reason ->
+        {
+          T.outcome = T.Crashed { reason; lb = 0; ub = None };
+          model = None;
+          stats = T.empty_stats;
+          elapsed = Unix.gettimeofday () -. sl.sl_started;
+        }
+  in
+  (* A worker that died on its own (not the daemon's budget ladder, not
+     a cancel) gets another attempt, warm-resumed from its checkpoint,
+     until the attempt cap.  Fault injection is stripped so a
+     test-armed crash cannot recur forever. *)
+  let died_spontaneously = (not e.Workers.termed) && not sl.sl_cancelled in
+  let unsound = match r.T.outcome with T.Crashed _ -> true | _ -> false in
+  (* crashes count worker deaths, not final outcomes: a crash the
+     checkpoint salvages into Bounds (or a retry solves) still
+     happened *)
+  if unsound && not sl.sl_cancelled then st.crashes <- st.crashes + 1;
+  if unsound && died_spontaneously && job.j_attempts < st.cfg.max_attempts then begin
+    job.j_options <- { job.j_options with P.fault = None };
+    job.j_not_before <-
+      Unix.gettimeofday ()
+      +. (st.cfg.retry_backoff *. (2. ** float_of_int (job.j_attempts - 1)));
+    Obs.Metrics.inc m_retries;
+    say st "job %d: worker died (attempt %d/%d), respawning%s" job.j_id
+      job.j_attempts st.cfg.max_attempts
+      (if Ck.is_empty job.j_ck then ""
+       else Printf.sprintf " from checkpoint lb=%d" job.j_ck.Ck.lb);
+    st.retries <- st.retries @ [ job ]
+  end
+  else begin
+    let r = if sl.sl_cancelled then r else salvage job.j_wcnf job.j_ck r in
+    say st "job %d done: %s" job.j_id (Format.asprintf "%a" T.pp_outcome r.T.outcome);
+    complete st ~was_cancelled:sl.sl_cancelled job r
+  end
 
-(* SIGTERM first (the worker's guard trips, the solve unwinds and
-   flushes its bounds), SIGKILL once the flush window closes — the same
-   ladder the harness and portfolio use. *)
-let ladder st =
-  let now = Unix.gettimeofday () in
-  let flush = Subproc.flush_grace st.cfg.grace in
-  List.iter
-    (fun sl ->
-      if (not sl.sl_termed) && now > sl.sl_term_at then begin
-        sl.sl_termed <- true;
-        Subproc.kill sl.sl_pid Sys.sigterm
-      end;
-      if sl.sl_termed && (not sl.sl_killed) && now > sl.sl_term_at +. flush
-      then begin
-        sl.sl_killed <- true;
-        Subproc.kill sl.sl_pid Sys.sigkill
-      end)
-    st.slots
+let spawn st job =
+  let timeout =
+    Option.value job.j_options.P.timeout ~default:st.cfg.default_timeout
+  in
+  job.j_attempts <- job.j_attempts + 1;
+  (* The worker-solve span opens before the fork so the child can hang
+     its own tracer under it: worker spans crossing back over the pipe
+     then re-parent under this request's timeline by construction. *)
+  let solve_h =
+    if Obs.Span.enabled job.j_spans then
+      Some (Obs.Span.start job.j_spans "worker_solve")
+    else None
+  in
+  let trace_ctx =
+    match solve_h with
+    | Some h -> Some (Obs.Span.trace_id job.j_spans, Obs.Span.span_of h)
+    | None -> None
+  in
+  (* Events ride the worker's one up pipe next to its checkpoint frames,
+     as "e <wire>" lines stamped with the job id, so the daemon's single
+     sink demultiplexes by request. *)
+  let observe = (not (Obs.is_null st.cfg.sink)) || st.cfg.profile_dir <> None in
+  let reader = Ck.reader () in
+  let on_line line =
+    if String.starts_with ~prefix:"e " line then begin
+      match Obs.Event.of_wire (String.sub line 2 (String.length line - 2)) with
+      | Some e ->
+          Obs.feed st.cfg.sink e;
+          collect st e
+      | None -> ()
+    end
+    else Ck.feed reader (line ^ "\n")
+  in
+  let started = Unix.gettimeofday () in
+  (* The worker owns nothing of the daemon: not the listener, a client
+     connection or the journal; the daemon's SIGTERM ladder, not the
+     terminal's Ctrl-C, governs it. *)
+  let close =
+    (st.listen_fd :: List.map (fun c -> c.c_fd) st.conns)
+    @ match st.journal with Some j -> [ Journal.fd j ] | None -> []
+  in
+  let worker =
+    Workers.spawn st.pool ~id:job.j_id ~close ~ignore_sigint:true
+      ~deadline:(started +. timeout) ~on_line ~on_exit:(worker_exited st job)
+      (fun ~up ~down:_ ->
+        (match job.j_options.P.fault with Some k -> Fault.arm k | None -> ());
+        let deadline = Unix.gettimeofday () +. timeout in
+        let guard =
+          G.create ~deadline ?max_conflicts:job.j_options.P.max_conflicts ()
+        in
+        G.set_cancel_target guard;
+        let sink =
+          if observe then
+            Obs.of_fn (fun e -> Workers.write_line up ("e " ^ Obs.Event.to_wire e))
+          else Obs.null
+        in
+        let spans =
+          match trace_ctx with
+          | Some (trace, parent) ->
+              Obs.Span.create ~trace ~parent ~sink ~id:job.j_id ()
+          | None -> Obs.Span.disabled
+        in
+        let cell = G.Progress.create () in
+        (* Stream warm-resume checkpoints to the daemon on the guard's
+           ticker cadence; a retried attempt starts from the best
+           bracket the previous one managed to flush. *)
+        G.set_ticker guard (Ck.writer up cell);
+        let config =
+          {
+            T.default_config with
+            T.deadline;
+            max_conflicts = job.j_options.P.max_conflicts;
+            encoding =
+              Option.value job.j_options.P.encoding
+                ~default:T.default_config.T.encoding;
+            sink;
+            spans;
+            solve_id = job.j_id;
+            guard = Some guard;
+            progress = Some cell;
+            resume = (if Ck.is_empty job.j_ck then None else Some job.j_ck);
+          }
+        in
+        M.solve_supervised ~config job.j_options.P.algorithm job.j_wcnf)
+  in
+  say st "job %d -> worker %d (%s, timeout %.1fs%s)" job.j_id (Workers.pid worker)
+    (M.algorithm_to_string job.j_options.P.algorithm)
+    timeout
+    (if job.j_attempts > 1 then
+       Printf.sprintf ", attempt %d%s" job.j_attempts
+         (if Ck.is_empty job.j_ck then ""
+          else
+            Printf.sprintf ", warm lb=%d%s" job.j_ck.Ck.lb
+              (match job.j_ck.Ck.ub with
+              | Some u -> Printf.sprintf " ub=%d" u
+              | None -> ""))
+     else "");
+  st.slots <-
+    {
+      sl_job = job;
+      sl_worker = worker;
+      sl_ck = reader;
+      sl_solve = solve_h;
+      sl_started = started;
+      sl_cancelled = false;
+    }
+    :: st.slots
 
 let dispatch st =
   (* Due retries first: they already passed admission once, and their
@@ -881,7 +711,7 @@ let handle_cancel st conn id =
              bounds, and the normal reap path delivers them to the
              submitting client. *)
           sl.sl_cancelled <- true;
-          sl.sl_term_at <- Float.min sl.sl_term_at (Unix.gettimeofday ());
+          Workers.cancel sl.sl_worker;
           send st conn (P.Cancel_ack { id; found = true })
       | None -> send st conn (P.Cancel_ack { id; found = false }))
 
@@ -896,11 +726,10 @@ let start_shutdown st ~drain =
         send st job.j_conn (cancelled_result job.j_id))
       (Jobq.drain st.queue @ st.retries);
     st.retries <- [];
-    let now = Unix.gettimeofday () in
     List.iter
       (fun sl ->
         sl.sl_cancelled <- true;
-        sl.sl_term_at <- Float.min sl.sl_term_at now)
+        Workers.cancel sl.sl_worker)
       st.slots
   end
 
@@ -1015,6 +844,7 @@ let run ?(handle_signals = false) cfg =
       started = Unix.gettimeofday ();
       conns = [];
       queue = Jobq.create ~capacity:cfg.queue_capacity;
+      pool = Workers.create ~sink:cfg.sink ~grace:cfg.grace ();
       slots = [];
       retries = [];
       cache;
@@ -1114,8 +944,6 @@ let run ?(handle_signals = false) cfg =
       say st "signal: shutting down";
       start_shutdown st ~drain:false
     end;
-    reap st;
-    ladder st;
     dispatch st;
     close_dead st;
     (let now = Unix.gettimeofday () in
@@ -1126,25 +954,17 @@ let run ?(handle_signals = false) cfg =
     if st.draining && Jobq.is_empty st.queue && st.slots = [] && st.retries = []
     then say st "drained; exiting"
     else begin
-      let ev_fds = List.filter_map (fun sl -> sl.sl_ev) st.slots in
-      let ck_fds = List.map (fun sl -> sl.sl_ck) st.slots in
-      let fds =
-        (st.listen_fd :: List.map (fun c -> c.c_fd) st.conns) @ ev_fds @ ck_fds
+      (* One select: the workers' pipes (lines, reaps and the kill
+         ladder are the pool's) plus the listener and connections. *)
+      let readable =
+        Workers.poll st.pool
+          ~read:(st.listen_fd :: List.map (fun c -> c.c_fd) st.conns)
+          ~timeout:0.02 ()
       in
-      (match Unix.select fds [] [] 0.02 with
-      | readable, _, _ ->
-          if List.mem st.listen_fd readable then accept_new st;
-          List.iter
-            (fun c -> if c.c_alive && List.mem c.c_fd readable then read_conn st c)
-            st.conns;
-          List.iter
-            (fun sl ->
-              (match sl.sl_ev with
-              | Some fd when List.mem fd readable -> read_events st sl
-              | _ -> ());
-              if List.mem sl.sl_ck readable then read_ck sl)
-            st.slots
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      if List.mem st.listen_fd readable then accept_new st;
+      List.iter
+        (fun c -> if c.c_alive && List.mem c.c_fd readable then read_conn st c)
+        st.conns;
       loop ()
     end
   in

@@ -6,15 +6,18 @@
     re-verified by {!Msu_maxsat.Certify.recost} against the requesting
     instance — is answered immediately.  Misses enter a bounded
     priority queue ({!Jobq}; a full queue answers [Rejected] with a
-    reason) and are dispatched to a pool of forked workers that reuse
-    the harness's isolation machinery: per-job {!Msu_guard.Guard}
-    budgets, SIGTERM → flush-grace → SIGKILL cancellation, and
-    bounds-salvaging crash reports.  A worker that crashes or times out
-    costs its own request a [Crashed]/[Bounds] result, never the
-    daemon.
+    reason) and are dispatched to forked workers of the shared
+    {!Msu_harness.Workers} pool: per-job {!Msu_guard.Guard} budgets,
+    SIGTERM → flush-grace → SIGKILL cancellation, and bounds-salvaging
+    crash reports.  A worker that crashes or times out costs its own
+    request a [Crashed]/[Bounds] result, never the daemon.  Each worker
+    owns one pipe, which carries its checkpoint frames and, when the
+    daemon streams events or profiles, its events as [e <wire>] lines;
+    the pool's one [select] also watches the listener and every
+    connection.
 
     Crash recovery: workers stream {!Msu_guard.Checkpoint} frames
-    (certified lb/ub bracket plus incumbent model) over a pipe; a
+    (certified lb/ub bracket plus incumbent model) up their pipe; a
     worker that dies spontaneously is respawned — with exponential
     backoff, up to [max_attempts] — warm-resumed from its last intact
     checkpoint, and exhausted retries degrade to a sound [Bounds]
@@ -38,7 +41,7 @@ type config = {
       (** persist the cache across restarts (loaded at startup, saved
           at shutdown) *)
   default_timeout : float;  (** per-request budget when none given *)
-  grace : float;  (** ladder grace, as in {!Msu_harness.Runner} *)
+  grace : float;  (** ladder grace, as in {!Msu_harness.Workers.create} *)
   trace : (string -> unit) option;
   sink : Msu_obs.Obs.sink;
       (** the daemon's typed event stream: queue, cache and worker

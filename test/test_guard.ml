@@ -241,14 +241,7 @@ let test_isolated_suite_survives_crashes () =
 module Ck = Msu_guard.Checkpoint
 
 let test_checkpoint_wire () =
-  let ck =
-    {
-      Ck.lb = 3;
-      ub = Some 5;
-      model = Some [| true; false; true |];
-      marker = G.Progress.Core_rounds 4;
-    }
-  in
+  let ck = { Ck.lb = 3; ub = Some 5; model = Some [| true; false; true |] } in
   (match Ck.of_wire (Ck.to_wire ck) with
   | Some c -> Alcotest.(check bool) "round-trips" true (c = ck)
   | None -> Alcotest.fail "round-trip rejected");
@@ -287,26 +280,15 @@ let test_checkpoint_reader_keeps_intact () =
   Alcotest.(check bool) "stream recovers" true (Ck.latest r = Some c)
 
 let test_checkpoint_merge () =
-  let a =
-    { Ck.lb = 2; ub = Some 5; model = Some [| true |]; marker = G.Progress.No_marker }
-  in
-  let b =
-    {
-      Ck.lb = 3;
-      ub = Some 6;
-      model = Some [| false |];
-      marker = G.Progress.Core_rounds 1;
-    }
-  in
+  let a = { Ck.lb = 2; ub = Some 5; model = Some [| true |] } in
+  let b = { Ck.lb = 3; ub = Some 6; model = Some [| false |] } in
   let m = Ck.merge a b in
   Alcotest.(check int) "max lb" 3 m.Ck.lb;
   Alcotest.(check bool) "min ub" true (m.Ck.ub = Some 5);
   Alcotest.(check bool) "model follows the winning ub" true
     (m.Ck.model = Some [| true |]);
-  Alcotest.(check bool) "newest marker wins" true
-    (m.Ck.marker = G.Progress.Core_rounds 1);
   (* an ub tie keeps whichever side actually holds the incumbent *)
-  let bare = { Ck.lb = 0; ub = Some 5; model = None; marker = G.Progress.No_marker } in
+  let bare = { Ck.lb = 0; ub = Some 5; model = None } in
   Alcotest.(check bool) "tie keeps the model" true
     ((Ck.merge a bare).Ck.model = Some [| true |]
     && (Ck.merge bare a).Ck.model = Some [| true |])
@@ -347,9 +329,7 @@ let test_warm_resume_reuses_progress () =
   let cold = M.solve_supervised M.Pbo_linear w in
   match (cold.T.outcome, cold.T.model) with
   | T.Optimum opt, Some model ->
-      let ck =
-        { Ck.lb = opt; ub = Some opt; model = Some model; marker = G.Progress.No_marker }
-      in
+      let ck = { Ck.lb = opt; ub = Some opt; model = Some model } in
       let config = { T.default_config with T.resume = Some ck } in
       let warm = M.solve_supervised ~config M.Pbo_linear w in
       (match warm.T.outcome with
@@ -361,63 +341,6 @@ let test_warm_resume_reuses_progress () =
         true
         (warm.T.stats.T.sat_calls < cold.T.stats.T.sat_calls)
   | _ -> Alcotest.fail "cold pbo solve did not reach the optimum"
-
-(* The reaping ladder must survive a signal storm: waitpid/sleep race
-   EINTR from a 200 Hz itimer while (1) a child exits on its own and
-   (2) a SIGTERM-deaf child is walked down the SIGTERM -> flush ->
-   SIGKILL ladder. *)
-let test_wait_ladder_eintr () =
-  let old_alrm = Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> ())) in
-  ignore
-    (Unix.setitimer Unix.ITIMER_REAL
-       { Unix.it_interval = 0.005; it_value = 0.005 });
-  Fun.protect
-    ~finally:(fun () ->
-      ignore
-        (Unix.setitimer Unix.ITIMER_REAL { Unix.it_interval = 0.; it_value = 0. });
-      Sys.set_signal Sys.sigalrm old_alrm)
-    (fun () ->
-      (* EINTR-proof sleep for the children (the parent's itimer dies
-         with the fork, but the handler is inherited). *)
-      let nap seconds =
-        let until = Unix.gettimeofday () +. seconds in
-        let rec go () =
-          let left = until -. Unix.gettimeofday () in
-          if left > 0. then (
-            (try Unix.sleepf left
-             with Unix.Unix_error (Unix.EINTR, _, _) -> ());
-            go ())
-        in
-        go ()
-      in
-      flush stdout;
-      flush stderr;
-      (match Unix.fork () with
-      | 0 ->
-          nap 0.2;
-          Unix._exit 42
-      | pid -> (
-          let now = Unix.gettimeofday () in
-          match R.Subproc.wait_with_ladder ~term_at:(now +. 5.) ~flush:1.0 pid with
-          | Unix.WEXITED 42 -> ()
-          | _ -> Alcotest.fail "well-behaved child lost under EINTR fire"));
-      flush stdout;
-      flush stderr;
-      (* Ignore SIGTERM before forking so the child is deaf from its
-         first instruction — installing it after fork races the
-         ladder's immediate SIGTERM. *)
-      let old_term = Sys.signal Sys.sigterm Sys.Signal_ignore in
-      match Unix.fork () with
-      | 0 ->
-          nap 30.;
-          Unix._exit 0
-      | pid -> (
-          Sys.set_signal Sys.sigterm old_term;
-          let now = Unix.gettimeofday () in
-          match R.Subproc.wait_with_ladder ~term_at:now ~flush:0.1 pid with
-          | Unix.WSIGNALED s when s = Sys.sigkill -> ()
-          | Unix.WEXITED _ | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-              Alcotest.fail "SIGTERM-deaf child escaped the ladder"))
 
 let test_runner_budget_abort_reason () =
   let w = Wcnf.of_formula (pigeonhole 4) in
@@ -455,7 +378,6 @@ let suite =
     Alcotest.test_case "torn checkpoint frame" `Quick test_torn_checkpoint_crash;
     Alcotest.test_case "warm resume reuses progress" `Quick
       test_warm_resume_reuses_progress;
-    Alcotest.test_case "wait ladder survives EINTR" `Quick test_wait_ladder_eintr;
     Alcotest.test_case "runner retries a crash" `Quick test_runner_retries_crash;
     Alcotest.test_case "runner isolated solve" `Quick test_runner_isolated_solve;
     Alcotest.test_case "isolated suite survives crashes" `Quick

@@ -80,53 +80,6 @@ let test_scatter_pins_aborts_at_timeout () =
       Alcotest.(check (float 1e-9)) "y pinned at timeout" 3.0 ty
   | pts -> Alcotest.failf "expected one point, got %d" (List.length pts)
 
-let test_sigterm_flushes_partial_bounds () =
-  (* The timeout bugfix, deterministically: a child that never finishes
-     on its own but cooperates with cancellation must come back as a
-     Timeout abort carrying the bounds it computed — before the fix the
-     parent SIGKILLed it and the bounds were lost (lb 0, ub None). *)
-  let thunk () =
-    let g = Msu_guard.Guard.unlimited () in
-    Msu_guard.Guard.set_cancel_target g;
-    let rec spin () =
-      match Msu_guard.Guard.tripped g with
-      | Some _ -> (R.Aborted { why = R.Timeout; lb = 7; ub = Some 9 }, 0.01)
-      | None ->
-          Unix.sleepf 0.002;
-          spin ()
-    in
-    spin ()
-  in
-  match R.run_isolated ~timeout:0.0 ~grace:0.05 thunk with
-  | R.Aborted { why = R.Timeout; lb = 7; ub = Some 9 }, _ -> ()
-  | outcome, _ ->
-      Alcotest.failf "partial bounds lost: %s"
-        (match outcome with
-        | R.Solved c -> Printf.sprintf "Solved %d" c
-        | R.Unsat_hard -> "Unsat_hard"
-        | R.Aborted { why; lb; ub } ->
-            Printf.sprintf "Aborted (%s) lb=%d ub=%s"
-              (R.abort_reason_to_string why)
-              lb
-              (match ub with Some u -> string_of_int u | None -> "?"))
-
-let test_sigkill_backstop () =
-  (* A child that ignores the cancellation entirely must still be
-     reaped (SIGKILL rung of the ladder), and classified as a crash. *)
-  let thunk () =
-    let rec spin () =
-      Unix.sleepf 0.01;
-      spin ()
-    in
-    spin ()
-  in
-  let t0 = Unix.gettimeofday () in
-  match R.run_isolated ~timeout:0.0 ~grace:0.02 thunk with
-  | R.Aborted { why = R.Crash _; _ }, _ ->
-      (* timeout 0 + grace 0.02 + flush >= 0.25: well under a second *)
-      Alcotest.(check bool) "reaped promptly" true (Unix.gettimeofday () -. t0 < 5.0)
-  | _ -> Alcotest.fail "expected a crash-classified abort"
-
 let contains_substring hay needle =
   let n = String.length needle and h = String.length hay in
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
@@ -166,9 +119,6 @@ let suite =
     Alcotest.test_case "run_one solves" `Quick test_run_one_solves;
     Alcotest.test_case "run_one aborts at budget" `Quick test_run_one_abort;
     Alcotest.test_case "run_suite and aborted counts" `Quick test_run_suite_and_counts;
-    Alcotest.test_case "SIGTERM flushes partial bounds" `Quick
-      test_sigterm_flushes_partial_bounds;
-    Alcotest.test_case "SIGKILL backstop reaps" `Quick test_sigkill_backstop;
     Alcotest.test_case "consistency detection" `Quick test_consistency_detection;
     Alcotest.test_case "scatter points" `Quick test_scatter;
     Alcotest.test_case "scatter pins aborts" `Quick test_scatter_pins_aborts_at_timeout;

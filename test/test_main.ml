@@ -23,4 +23,5 @@ let () =
       ("portfolio", Test_portfolio.suite);
       ("service", Test_service.suite);
       ("obs", Test_obs.suite);
+      ("workers", Test_workers.suite);
     ]

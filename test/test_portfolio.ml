@@ -325,95 +325,6 @@ let test_wire_fuzz () =
     | None -> ()
   done
 
-(* Line splitting: complete lines come out, the trailing partial frame
-   stays buffered until its newline (or the EOF flush) arrives. *)
-let test_take_lines_residual () =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf "l 1\nu 4\nc 2 6 ";
-  Alcotest.(check (list string)) "complete lines" [ "l 1"; "u 4" ]
-    (P.Wire.take_lines buf);
-  Alcotest.(check string) "partial frame retained" "c 2 6 " (Buffer.contents buf);
-  Buffer.add_string buf "8\n";
-  Alcotest.(check (list string)) "finished frame" [ "c 2 6 8" ]
-    (P.Wire.take_lines buf);
-  Alcotest.(check string) "buffer drained" "" (Buffer.contents buf);
-  (* Empty lines are noise, not frames. *)
-  Buffer.add_string buf "\n\nl 2\n\n";
-  Alcotest.(check (list string)) "empties filtered" [ "l 2" ] (P.Wire.take_lines buf)
-
-(* Outbuf: a full pipe (EAGAIN) or short write keeps the unsent tail
-   queued and the next flush resumes mid-line; nothing is torn or
-   dropped.  The pipe is filled to capacity first so the flush hits
-   EAGAIN for real. *)
-let test_outbuf_resumes_after_full_pipe () =
-  let r, w = Unix.pipe () in
-  Unix.set_nonblock w;
-  Unix.set_nonblock r;
-  (* Fill the pipe buffer to capacity. *)
-  let filler = Bytes.make 4096 'x' in
-  let filled = ref 0 in
-  (try
-     while true do
-       filled := !filled + Unix.write w filler 0 (Bytes.length filler)
-     done
-   with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-  let out = P.Wire.Outbuf.create () in
-  let sent = List.init 200 (fun i -> Printf.sprintf "b %d %d" i (i + 1)) in
-  List.iter (P.Wire.Outbuf.queue out) sent;
-  P.Wire.Outbuf.flush out w;
-  Alcotest.(check bool) "backlog pending while pipe is full" true
-    (P.Wire.Outbuf.pending out);
-  (* Drain the reader in lockstep with repeated flushes, mimicking the
-     parent's writable-select rounds. *)
-  let buf = Buffer.create 256 in
-  let chunk = Bytes.create 4096 in
-  let received = ref [] in
-  let rounds = ref 0 in
-  while (P.Wire.Outbuf.pending out || !filled > 0) && !rounds < 10_000 do
-    incr rounds;
-    (match Unix.read r chunk 0 (Bytes.length chunk) with
-    | n ->
-        if !filled >= n then filled := !filled - n
-        else begin
-          Buffer.add_subbytes buf chunk !filled (n - !filled);
-          filled := 0
-        end
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
-    P.Wire.Outbuf.flush out w;
-    received := !received @ P.Wire.take_lines buf
-  done;
-  (* The backlog is flushed; drain what is still in flight in the pipe. *)
-  (try
-     while true do
-       match Unix.read r chunk 0 (Bytes.length chunk) with
-       | 0 -> raise Exit
-       | n ->
-           if !filled >= n then filled := !filled - n
-           else begin
-             Buffer.add_subbytes buf chunk !filled (n - !filled);
-             filled := 0
-           end
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) | Exit -> ());
-  received := !received @ P.Wire.take_lines buf;
-  Unix.close r;
-  Unix.close w;
-  Alcotest.(check (list string)) "every line arrives intact, in order" sent !received
-
-(* A dead peer (EPIPE) drops the backlog instead of raising or spinning. *)
-let test_outbuf_dead_peer () =
-  let r, w = Unix.pipe () in
-  Unix.set_nonblock w;
-  Unix.close r;
-  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let out = P.Wire.Outbuf.create () in
-  P.Wire.Outbuf.queue out "b 1 2";
-  P.Wire.Outbuf.flush out w;
-  Sys.set_signal Sys.sigpipe previous;
-  Unix.close w;
-  Alcotest.(check bool) "backlog dropped on EPIPE" false (P.Wire.Outbuf.pending out)
-
 (* ---------------- clause sharing ---------------- *)
 
 (* Sharing forced on: the portfolio still proves exactly the brute-force
@@ -609,12 +520,6 @@ let suite =
     Alcotest.test_case "wire rejects malformed frames" `Quick
       test_wire_rejects_malformed;
     Alcotest.test_case "wire fuzz" `Quick test_wire_fuzz;
-    Alcotest.test_case "take_lines keeps the partial frame" `Quick
-      test_take_lines_residual;
-    Alcotest.test_case "outbuf resumes after a full pipe" `Quick
-      test_outbuf_resumes_after_full_pipe;
-    Alcotest.test_case "outbuf drops backlog on dead peer" `Quick
-      test_outbuf_dead_peer;
     Alcotest.test_case "sharing matches brute force" `Quick
       test_sharing_matches_brute_force;
     Alcotest.test_case "sharing events match metrics" `Quick
