@@ -118,6 +118,12 @@ let sat_call_span (cfg : Types.config) s f =
 let setup_inprocess (cfg : Types.config) s =
   Msu_sat.Solver.set_inprocess s cfg.Types.inprocess
 
+(* The soft clause whose selector an assumption negates, for solvers
+   loaded by [Solver.add_softs]: selector [i] is variable [base + i]. *)
+let soft_index ~base ~n_soft a =
+  let i = Msu_cnf.Lit.var a - base in
+  if i >= 0 && i < n_soft then Some i else None
+
 let frozen_var s () =
   let v = Msu_sat.Solver.new_var s in
   Msu_sat.Solver.freeze s v;

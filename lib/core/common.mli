@@ -65,6 +65,11 @@ val setup_inprocess : Types.config -> Msu_sat.Solver.t -> unit
     restart-boundary inprocessing pass.  Call right after creating a
     persistent solver. *)
 
+val soft_index : base:int -> n_soft:int -> Msu_cnf.Lit.t -> int option
+(** The soft clause whose selector literal [a] names, on a solver whose
+    [n_soft] soft clauses went in through [Solver.add_softs] at [base];
+    [None] for any other variable. *)
+
 val frozen_var : Msu_sat.Solver.t -> unit -> Msu_cnf.Lit.var
 (** Fresh-variable source for encoding sinks: every variable is frozen
     on creation, so cardinality-encoding internals and outputs are

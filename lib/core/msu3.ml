@@ -22,15 +22,8 @@ let solve_incremental (config : Types.config) w t0 =
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
-  let sel = Array.make (max n_soft 1) (Lit.pos 0) in
-  let soft_of_var = Hashtbl.create (max n_soft 16) in
-  Wcnf.iter_soft
-    (fun i c _ ->
-      let l = Lit.pos (Solver.new_var s) in
-      sel.(i) <- l;
-      Hashtbl.replace soft_of_var (Lit.var l) i;
-      Solver.add_clause ~selector:l s c)
-    w;
+  let base = Solver.add_softs s n_soft (Wcnf.soft w) in
+  let sel i = Lit.pos (base + i) in
   let relaxed = Array.make (max n_soft 1) false in
   let sink =
     Sink.
@@ -70,7 +63,7 @@ let solve_incremental (config : Types.config) w t0 =
       let assumptions =
         let acc = ref (match bound with None -> [] | Some l -> [ l ]) in
         for i = n_soft - 1 downto 0 do
-          if not relaxed.(i) then acc := Lit.neg sel.(i) :: !acc
+          if not relaxed.(i) then acc := Lit.neg (sel i) :: !acc
         done;
         Array.of_list !acc
       in
@@ -87,7 +80,7 @@ let solve_incremental (config : Types.config) w t0 =
             Common.span config "core_extract" (fun () -> Solver.conflict_assumptions s)
           in
           let softs =
-            List.filter_map (fun a -> Hashtbl.find_opt soft_of_var (Lit.var a)) core
+            List.filter_map (Common.soft_index ~base ~n_soft) core
           in
           (* An empty failed-assumption set means the refutation needed
              no soft clause at all (relaxed ones satisfy through their
@@ -101,7 +94,7 @@ let solve_incremental (config : Types.config) w t0 =
                   else begin
                     relaxed.(i) <- true;
                     Common.Tally.blocking_var tally;
-                    Some sel.(i)
+                    Some (sel i)
                   end)
                 softs
             in

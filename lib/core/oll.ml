@@ -42,13 +42,12 @@ let solve ?(config = Types.default_config) w =
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let active : (Lit.t, source) Hashtbl.t = Hashtbl.create 64 in
-  Wcnf.iter_soft
-    (fun _ c _ ->
-      let r = Lit.pos (Common.frozen_var s ()) in
-      Common.Tally.blocking_var tally;
-      Solver.add_clause s (Array.append c [| r |]);
-      Hashtbl.replace active (Lit.neg r) Soft)
-    w;
+  let n_soft = Wcnf.num_soft w in
+  let base = Solver.add_softs s n_soft (Wcnf.soft w) in
+  for i = 0 to n_soft - 1 do
+    Common.Tally.blocking_var tally;
+    Hashtbl.replace active (Lit.neg_of (base + i)) Soft
+  done;
   let finish outcome model =
     Common.finish config ~t0 ~stats:(Common.Tally.snapshot tally) outcome model
   in

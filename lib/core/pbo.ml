@@ -26,12 +26,12 @@ let build_relaxed config tally w =
   Common.setup_inprocess config s;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
+  let n_soft = Wcnf.num_soft w in
+  let base = Solver.add_softs s n_soft (Wcnf.soft w) in
   let blocks =
-    Array.init (Wcnf.num_soft w) (fun i ->
-        let b = Lit.pos (Common.frozen_var s ()) in
+    Array.init n_soft (fun i ->
         Common.Tally.blocking_var tally;
-        Solver.add_clause s (Array.append (Wcnf.soft w i) [| b |]);
-        (b, Wcnf.weight w i))
+        (Lit.pos (base + i), Wcnf.weight w i))
   in
   (s, blocks)
 

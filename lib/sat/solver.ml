@@ -236,7 +236,8 @@ let create ?(track_proof = true) ?(debug = false) () =
       dirty = 0;
       inpro_backoff = 1;
       (* Off by default: raw solver users (drivers, benches) see the
-         classic CDCL; MaxSAT algorithms opt in via [set_inprocess]. *)
+         classic CDCL; MaxSAT algorithms opt in via [set_inprocess]
+         when [Types.config.inprocess] asks for it. *)
       inprocess_on = false;
       inpro_totals = Inprocess.zero_stats ();
       order = Idx_heap.create ~score:(fun _ -> 0.);
@@ -877,6 +878,34 @@ let record_refutation s cr =
       (Array.init (c_size a cr) (fun i -> c_lit a cr i))
   end
 
+(* Order a clause's literals true, then unassigned, then false under
+   the level-0 prefix, so its two watched slots start out valid.  The
+   sort is not stable: even an all-unassigned clause comes out
+   permuted (a binary clause reversed), and the watch order that
+   results is part of every seed-fixed search. *)
+let watch_order s lits =
+  let score l = match value_of s l with 1 -> 2 | -1 -> 1 | _ -> 0 in
+  Array.sort (fun a b -> Int.compare (score b) (score a)) lits
+
+(* Sort packed literals and drop duplicates.  [None] for a tautology,
+   otherwise the distinct literals, increasing.  Sorts [lits] in
+   place. *)
+let distinct (lits : int array) =
+  Array.sort Int.compare lits;
+  let n = ref 0 and tautology = ref false in
+  Array.iter
+    (fun l ->
+      if !n > 0 && lits.(!n - 1) = l then ()
+      else begin
+        if !n > 0 && lits.(!n - 1) = l lxor 1 then tautology := true;
+        lits.(!n) <- l;
+        incr n
+      end)
+    lits;
+  if !tautology then None
+  else if !n = Array.length lits then Some lits
+  else Some (Array.sub lits 0 !n)
+
 (* Install a clause derived by inprocessing — a strengthening or
    elimination resolvent, or a witness clause re-added by [unelim].
    [lits] are packed, deduplicated and non-tautological; the proof uid
@@ -889,8 +918,7 @@ let record_refutation s cr =
 let install_derived s ~uid ~safe lits =
   assert (decision_level s = 0);
   let lits = Array.copy lits in
-  let score l = match value_of s l with 1 -> 2 | -1 -> 1 | _ -> 0 in
-  Array.sort (fun a b -> Int.compare (score b) (score a)) lits;
+  watch_order s lits;
   let len = Array.length lits in
   if len = 0 then begin
     s.ok <- false;
@@ -952,7 +980,44 @@ let rec unelim s v =
 
 (* Adding clauses (only at decision level 0). *)
 
-let add_clause_core ?(id = -1) ?(shareable = false) s lits =
+(* Add a problem clause whose literals are packed, distinct and name
+   no eliminated variable.  Returns its clause ref, or -1 when the
+   clause refuted the formula. *)
+let add_distinct ?(id = -1) ~safe s lits =
+  watch_order s lits;
+  let len = Array.length lits in
+  let uid = if s.track_proof then new_proof s (P_axiom id) else -1 in
+  if len = 0 then begin
+    s.ok <- false;
+    drup_add s [||];
+    if s.track_proof then s.refutation <- new_proof s (P_resolved [ uid ]);
+    -1
+  end
+  else if value_of s lits.(0) = 0 then begin
+    (* All literals false under the level-0 prefix: refuted. *)
+    s.ok <- false;
+    drup_add s [||];
+    if s.track_proof then refutation_ants s ~uid lits;
+    -1
+  end
+  else begin
+    let cr = alloc_clause s ~learnt:false ~safe ~uid lits in
+    s.dirty <- s.dirty + 1;
+    Vec.push s.clauses cr;
+    if len >= 2 then attach s cr;
+    let unit_now = value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0) in
+    if unit_now then begin
+      enqueue s lits.(0) cr;
+      let confl = propagate s in
+      if confl >= 0 then begin
+        s.ok <- false;
+        record_refutation s confl
+      end
+    end;
+    cr
+  end
+
+let add_clause_core ?id ?(shareable = false) s lits =
   assert (decision_level s = 0);
   if not s.ok then -1
   else begin
@@ -961,64 +1026,10 @@ let add_clause_core ?(id = -1) ?(shareable = false) s lits =
        witness clauses) before this one goes in. *)
     Array.iter (fun l -> unelim s (Lit.var l)) lits;
     if not s.ok then -1
-    else begin
-    let lits = Array.map Lit.to_int lits in
-    (* Remove duplicates; detect tautologies.  Literals are packed ints:
-       sort monomorphically. *)
-    Array.sort Int.compare lits;
-    let tautology = ref false in
-    let uniq = Vec.create ~dummy:0 in
-    Array.iter
-      (fun l ->
-        if Vec.size uniq > 0 && Vec.last uniq = l then ()
-        else begin
-          if Vec.size uniq > 0 && Vec.last uniq = l lxor 1 then tautology := true;
-          Vec.push uniq l
-        end)
-      lits;
-    if !tautology then -1
-    else begin
-      let lits = Vec.to_array uniq in
-      (* Order the literals so the two "most assignable" come first:
-         true before unassigned before false.  This keeps the watch
-         invariant valid under the current level-0 prefix. *)
-      let score l = match value_of s l with 1 -> 2 | -1 -> 1 | _ -> 0 in
-      Array.sort (fun a b -> Int.compare (score b) (score a)) lits;
-      let len = Array.length lits in
-      let uid = if s.track_proof then new_proof s (P_axiom id) else -1 in
-      if len = 0 then begin
-        s.ok <- false;
-        drup_add s [||];
-        if s.track_proof then s.refutation <- new_proof s (P_resolved [ uid ]);
-        -1
-      end
-      else if value_of s lits.(0) = 0 then begin
-        (* All literals false under the level-0 prefix: refuted. *)
-        s.ok <- false;
-        drup_add s [||];
-        if s.track_proof then refutation_ants s ~uid lits;
-        -1
-      end
-      else begin
-        let cr = alloc_clause s ~learnt:false ~safe:shareable ~uid lits in
-        s.dirty <- s.dirty + 1;
-        Vec.push s.clauses cr;
-        if len >= 2 then attach s cr;
-        let unit_now =
-          value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0)
-        in
-        if unit_now then begin
-          enqueue s lits.(0) cr;
-          let confl = propagate s in
-          if confl >= 0 then begin
-            s.ok <- false;
-            record_refutation s confl
-          end
-        end;
-        cr
-      end
-    end
-    end
+    else
+      match distinct (Array.map Lit.to_int lits) with
+      | None -> -1
+      | Some lits -> add_distinct ?id ~safe:shareable s lits
   end
 
 let add_clause ?id ?shareable ?selector s lits =
@@ -1048,6 +1059,40 @@ let add_clause ?id ?shareable ?selector s lits =
 
 let add_clause_l ?id s lits = add_clause ?id s (Array.of_list lits)
 
+(* Bulk soft-clause loading: clause [i] goes in as [get i \/ sel_i]
+   under the fresh selector [base + i].  The clause database, literal
+   order included, is the one [new_var] + [add_clause ~selector] per
+   clause would build; the variable tables are sized once and each
+   clause is packed straight from [get i]. *)
+let add_softs s n get =
+  assert (decision_level s = 0);
+  Msu_obs.Obs.Span.wrap s.tracer "load" (fun () ->
+      let base = s.num_vars in
+      ensure_vars s (base + n);
+      Bytes.fill s.frozen base n '\001';
+      for i = 0 to n - 1 do
+        let v = base + i in
+        if s.ok then begin
+          let c = get i in
+          let k = Array.length c in
+          let lits = Array.make (k + 1) (Lit.to_int (Lit.pos v)) in
+          for j = 0 to k - 1 do
+            let l = c.(j) in
+            if Lit.var l >= base then
+              invalid_arg "Solver.add_softs: a soft literal names a selector variable";
+            unelim s (Lit.var l);
+            lits.(j) <- Lit.to_int l
+          done;
+          if s.ok then
+            match distinct lits with
+            | None -> ()
+            | Some lits ->
+                let cr = add_distinct ~safe:false s lits in
+                if cr >= 0 then Hashtbl.add s.selector_groups v (ref [ cr ])
+        end
+      done;
+      base)
+
 (* Attach a clause learnt by a portfolio peer.  The caller guarantees the
    clause is implied by this instance's hard clauses (the exporter's
    share-safety taint guarantees it), so it is sound for any relaxation
@@ -1065,53 +1110,39 @@ let import_clause s lits =
   if s.ok && s.drup_log = None && Array.length lits > 0 then begin
     Array.iter (fun l -> ensure_vars s (Lit.var l + 1)) lits;
     Array.iter (fun l -> unelim s (Lit.var l)) lits;
-    if s.ok then begin
-    let lits = Array.map Lit.to_int lits in
-    Array.sort Int.compare lits;
-    let tautology = ref false in
-    let uniq = Vec.create ~dummy:0 in
-    Array.iter
-      (fun l ->
-        if Vec.size uniq > 0 && Vec.last uniq = l then ()
-        else begin
-          if Vec.size uniq > 0 && Vec.last uniq = l lxor 1 then tautology := true;
-          Vec.push uniq l
-        end)
-      lits;
-    if not !tautology then begin
-      let lits = Vec.to_array uniq in
-      let score l = match value_of s l with 1 -> 2 | -1 -> 1 | _ -> 0 in
-      Array.sort (fun a b -> Int.compare (score b) (score a)) lits;
-      let len = Array.length lits in
-      let uid = if s.track_proof then new_proof s (P_axiom (-1)) else -1 in
-      s.n_imported <- s.n_imported + 1;
-      if value_of s lits.(0) = 0 then begin
-        (* All literals false under the level-0 prefix.  The import is
-           implied by the instance's hard clauses (a subset of this
-           formula), so the formula is refuted outright. *)
-        s.ok <- false;
-        if s.track_proof then refutation_ants s ~uid lits
-      end
-      else begin
-        let cr = alloc_clause s ~learnt:true ~safe:true ~uid lits in
-        set_lbd s.arena cr (min len lbd_max);
-        s.dirty <- s.dirty + 1;
-        Vec.push s.learnts cr;
-        if len >= 2 then attach s cr;
-        let unit_now =
-          value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0)
-        in
-        if unit_now then begin
-          enqueue s lits.(0) cr;
-          let confl = propagate s in
-          if confl >= 0 then begin
+    if s.ok then
+      match distinct (Array.map Lit.to_int lits) with
+      | None -> ()
+      | Some lits ->
+          watch_order s lits;
+          let len = Array.length lits in
+          let uid = if s.track_proof then new_proof s (P_axiom (-1)) else -1 in
+          s.n_imported <- s.n_imported + 1;
+          if value_of s lits.(0) = 0 then begin
+            (* All literals false under the level-0 prefix.  The import is
+               implied by the instance's hard clauses (a subset of this
+               formula), so the formula is refuted outright. *)
             s.ok <- false;
-            record_refutation s confl
+            if s.track_proof then refutation_ants s ~uid lits
           end
-        end
-      end
-    end
-    end
+          else begin
+            let cr = alloc_clause s ~learnt:true ~safe:true ~uid lits in
+            set_lbd s.arena cr (min len lbd_max);
+            s.dirty <- s.dirty + 1;
+            Vec.push s.learnts cr;
+            if len >= 2 then attach s cr;
+            let unit_now =
+              value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0)
+            in
+            if unit_now then begin
+              enqueue s lits.(0) cr;
+              let confl = propagate s in
+              if confl >= 0 then begin
+                s.ok <- false;
+                record_refutation s confl
+              end
+            end
+          end
   end
 
 let on_export s f = s.export_hook <- Some f

@@ -86,6 +86,21 @@ val add_clause :
 
 val add_clause_l : ?id:int -> t -> Msu_cnf.Lit.t list -> unit
 
+val add_softs : t -> int -> (int -> Msu_cnf.Lit.t array) -> int
+(** [add_softs s n get] loads [n] soft clauses and returns [base], the
+    variable count on entry.  Clause [i] ([get i]) is stored as
+    [get i \/ sel_i] under the fresh, frozen selector
+    [sel_i = Lit.pos (base + i)], so a selector's soft clause is
+    [var - base].  The clause database, literal order included, is the
+    one {!new_var} followed by [add_clause ~selector] for each clause in
+    turn would build: duplicate literals, tautologies, level-0
+    assignments and eliminated variables are treated the same.  (A
+    variable re-introduced from elimination enters the decision order
+    after the selectors rather than between them.)  Runs inside a
+    ["load"] span on the solver's tracer.
+    @raise Invalid_argument if a literal of [get i] names a variable
+    [>= base]; the solver is then only partly loaded. *)
+
 val retire_selector : t -> Msu_cnf.Lit.t -> unit
 (** [retire_selector s sel] permanently disables every clause registered
     under [sel]: the selector literal is unit-asserted, satisfying the

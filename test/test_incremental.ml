@@ -169,6 +169,147 @@ let test_selector_core_maps_to_assumptions () =
         core
   | _ -> Alcotest.fail "contradictory selected clauses should be unsat"
 
+(* ---------------- bulk soft loading ---------------- *)
+
+(* Load [w]'s hard clauses, run [prepare], then load its soft clauses
+   one by one ([new_var] + [add_clause ~selector]) or in bulk
+   ([add_softs]).  Returns the solver and the selectors. *)
+let load ~bulk ~prepare w =
+  let s = Solver.create ~track_proof:false () in
+  Solver.ensure_vars s (Wcnf.num_vars w);
+  Wcnf.iter_hard (fun _ c -> Solver.add_clause s c) w;
+  prepare s;
+  let n = Wcnf.num_soft w in
+  let sels =
+    if bulk then
+      let base = Solver.add_softs s n (Wcnf.soft w) in
+      Array.init n (fun i -> Lit.pos (base + i))
+    else
+      Array.init n (fun i ->
+          let sel = Lit.pos (Solver.new_var s) in
+          Solver.add_clause ~selector:sel s (Wcnf.soft w i);
+          sel)
+  in
+  (s, sels)
+
+(* Everything a search can tell apart: the database's shape, the
+   answer, the model or failed assumptions, and the search counters. *)
+let observe s assumptions =
+  let shape = (Solver.num_vars s, Solver.num_clauses s, Solver.arena_words s) in
+  let answer = Solver.solve ~assumptions s in
+  let detail =
+    match answer with
+    | Solver.Sat -> Array.to_list (Array.map Bool.to_int (Solver.model s))
+    | Solver.Unsat when Solver.okay s ->
+        List.map Lit.to_int (Solver.conflict_assumptions s)
+    | Solver.Unsat | Solver.Unknown -> []
+  in
+  (shape, answer, detail, Solver.stats s)
+
+(* Both loads must agree under every selector's negation, with the
+   even-numbered selectors left free, and after those are retired. *)
+let check_same_load ?(prepare = ignore) name w =
+  let s1, sel1 = load ~bulk:false ~prepare w in
+  let s2, sel2 = load ~bulk:true ~prepare w in
+  if sel1 <> sel2 then Alcotest.failf "%s: selectors differ" name;
+  Array.iter
+    (fun l ->
+      if not (Solver.frozen s2 (Lit.var l)) then
+        Alcotest.failf "%s: selector %d not frozen" name (Lit.var l))
+    sel2;
+  let round what assumptions =
+    let o1 = observe s1 assumptions and o2 = observe s2 assumptions in
+    if o1 <> o2 then begin
+      let (v1, c1, a1), _, _, st1 = o1 and (v2, c2, a2), _, _, st2 = o2 in
+      Alcotest.failf
+        "%s (%s): one by one vars=%d clauses=%d words=%d %a / bulk vars=%d \
+         clauses=%d words=%d %a"
+        name what v1 c1 a1 Solver.pp_stats st1 v2 c2 a2 Solver.pp_stats st2
+    end
+  in
+  round "all selectors" (Array.map Lit.neg sel1);
+  let odd =
+    Array.of_list (List.filteri (fun i _ -> i mod 2 = 1) (Array.to_list sel1))
+  in
+  round "even selectors free" (Array.map Lit.neg odd);
+  Array.iteri
+    (fun i sel ->
+      if i mod 2 = 0 then begin
+        Solver.retire_selector s1 sel;
+        Solver.retire_selector s2 sel
+      end)
+    sel1;
+  round "after retiring" (Array.map Lit.neg odd)
+
+let wcnf_of n_vars clauses =
+  let w = Wcnf.create () in
+  Wcnf.ensure_vars w n_vars;
+  List.iter
+    (fun (hard, c) -> if hard then Wcnf.add_hard w c else ignore (Wcnf.add_soft w c))
+    clauses;
+  w
+
+let gen_clauses ~partial =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun n_vars ->
+    let lit = map2 Lit.make (int_bound (n_vars - 1)) bool in
+    let soft = map (fun c -> (false, c)) (array_size (int_range 0 3) lit) in
+    let hard = map (fun c -> (true, c)) (array_size (int_range 1 3) lit) in
+    let clause = if partial then frequency [ (3, soft); (1, hard) ] else soft in
+    map (fun cs -> (n_vars, cs)) (list_size (int_range 0 24) clause))
+
+let print_clauses (n_vars, cs) =
+  Printf.sprintf "%d vars: %s" n_vars
+    (String.concat " "
+       (List.map
+          (fun (hard, c) ->
+            Printf.sprintf "%s[%s]" (if hard then "h" else "s")
+              (String.concat ","
+                 (Array.to_list (Array.map (fun l -> string_of_int (Lit.to_dimacs l)) c))))
+          cs))
+
+let prop_bulk_load ~partial =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "add_softs matches one-by-one loading (%s)"
+             (if partial then "partial" else "plain"))
+    ~count:200
+    (QCheck.make ~print:print_clauses (gen_clauses ~partial))
+    (fun (n_vars, cs) ->
+      check_same_load "random" (wcnf_of n_vars cs);
+      true)
+
+let test_bulk_load_edge_cases () =
+  let x = Lit.pos 0 and y = Lit.pos 1 in
+  check_same_load "duplicate literal"
+    (wcnf_of 2 [ (false, [| x; y; x |]); (false, [| Lit.neg x |]) ]);
+  check_same_load "tautology"
+    (wcnf_of 2 [ (false, [| x; Lit.neg x |]); (false, [| Lit.neg y |]) ]);
+  check_same_load "literal fixed by a hard unit"
+    (wcnf_of 2
+       [ (true, [| x |]); (false, [| Lit.neg x; y |]); (false, [| x; y |]);
+         (false, [| Lit.neg x |]) ]);
+  check_same_load "no soft clauses" (wcnf_of 2 [ (true, [| x; y |]) ]);
+  let s = Solver.create () in
+  Solver.ensure_vars s 3;
+  Alcotest.(check int) "zero softs: base is the variable count" 3
+    (Solver.add_softs s 0 (fun _ -> assert false));
+  Alcotest.(check int) "zero softs: no variable added" 3 (Solver.num_vars s);
+  (* a=0 b=1 frozen; x=2 is eliminated before the soft clauses arrive,
+     and the first one names it.  The solve in between takes x off the
+     decision heap; re-introducing it must put it back. *)
+  let a = Lit.pos 0 and b = Lit.pos 1 and x = Lit.pos 2 in
+  let prepare s =
+    Solver.freeze s 0;
+    Solver.freeze s 1;
+    ignore (Solver.inprocess s);
+    Alcotest.(check bool) "control: x eliminated" true (Solver.is_eliminated s 2);
+    ignore (Solver.solve s)
+  in
+  check_same_load ~prepare "eliminated variable"
+    (wcnf_of 3
+       [ (true, [| x; a |]); (true, [| Lit.neg x; b |]); (false, [| Lit.neg x; Lit.neg a |]);
+         (false, [| Lit.neg b |]) ])
+
 (* ---------------- incremental totalizer ---------------- *)
 
 let solver_sink s =
@@ -288,6 +429,9 @@ let suite =
     Alcotest.test_case "selector retires" `Quick test_selector_retire;
     Alcotest.test_case "conflict core names selectors" `Quick
       test_selector_core_maps_to_assumptions;
+    QCheck_alcotest.to_alcotest (prop_bulk_load ~partial:false);
+    QCheck_alcotest.to_alcotest (prop_bulk_load ~partial:true);
+    Alcotest.test_case "add_softs edge cases" `Quick test_bulk_load_edge_cases;
     Alcotest.test_case "itotalizer bound semantics" `Quick
       test_itotalizer_bound_semantics;
     Alcotest.test_case "itotalizer lazy emission" `Quick
