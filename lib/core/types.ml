@@ -31,9 +31,11 @@ type config = {
   encoding : Msu_card.Card.encoding;
   core_geq1 : bool;
   inprocess : bool;
-      (* let the persistent solver run inprocessing passes (BVE,
+      (* opt-in: let the persistent solver run inprocessing passes (BVE,
          subsumption, probing) at restart boundaries and after core
-         rounds; freezing protects selectors and encoding variables *)
+         rounds; freezing protects selectors and encoding variables.  Off
+         by default: on the paper's suites the passes cost more wall time
+         than they save (results/BENCH_inprocess.json) *)
   sink : Msu_obs.Obs.sink;
   solve_id : int;
   guard : Msu_guard.Guard.t option;
@@ -58,7 +60,7 @@ let default_config =
     max_memory_words = None;
     encoding = Msu_card.Card.Sortnet;
     core_geq1 = true;
-    inprocess = true;
+    inprocess = false;
     sink = Msu_obs.Obs.null;
     solve_id = 0;
     guard = None;

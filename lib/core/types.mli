@@ -61,11 +61,14 @@ type config = {
       (** msu4's optional "at least one new blocking variable" constraint
           (Algorithm 1, line 19) *)
   inprocess : bool;
-      (** let the persistent solver simplify its clause database between
-          core rounds and at restart boundaries (bounded variable
-          elimination, subsumption, failed-literal probing); selectors
-          and encoding variables are frozen, so optima are unaffected.
-          Ignored under DRUP logging *)
+      (** opt-in (default [false]): let the persistent solver simplify its
+          clause database between core rounds and at restart boundaries
+          (bounded variable elimination, subsumption, failed-literal
+          probing); selectors and encoding variables are frozen, so
+          optima are unaffected.  Off by default because on both of the
+          paper's suites the passes cost more wall time than they save,
+          for every algorithm ([results/BENCH_inprocess.json]).  Ignored
+          under DRUP logging *)
   sink : Msu_obs.Obs.sink;
       (** where the solve publishes its typed event stream ({!Msu_obs.Obs.Event});
           [Obs.null] disables observability at one branch per event *)
@@ -95,7 +98,7 @@ type config = {
 
 val default_config : config
 (** No deadline or budgets, [Sortnet] encoding (the paper's stronger
-    v2), [core_geq1 = true], inprocessing on, null event sink, no
+    v2), [core_geq1 = true], inprocessing off, null event sink, no
     shared guard. *)
 
 val empty_stats : stats

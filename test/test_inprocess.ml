@@ -15,7 +15,9 @@ module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
 open Test_util
 
-let on = T.default_config (* inprocessing is on by default *)
+(* Both modes are spelled out: the default is off, and the "on" runs
+   must not silently follow it. *)
+let on = { T.default_config with T.inprocess = true }
 let off = { T.default_config with T.inprocess = false }
 
 let satisfied m c =
@@ -80,6 +82,24 @@ let test_modes_agree_weighted =
   cross_modes ~partial:true ~weighted:true
     ~algorithms:[ M.Wpm1; M.Pbo_linear ]
     ~rounds:20 ~seed:0x1B03
+
+(* The default configuration runs no inprocessing pass, while the
+   same solves with [on] do (the control). *)
+let test_default_runs_no_pass () =
+  let passes = Msu_obs.Obs.Metrics.counter "msu_inprocess_passes_total" in
+  let w = Wcnf.of_formula (pigeonhole 5) in
+  let passes_in config =
+    let before = Msu_obs.Obs.Metrics.counter_value passes in
+    List.iter
+      (fun alg ->
+        match (M.solve ~config alg w).T.outcome with
+        | T.Optimum 1 -> ()
+        | o -> Alcotest.failf "%s: %a" (M.algorithm_to_string alg) T.pp_outcome o)
+      (M.Wpm1 :: unweighted_algorithms);
+    Msu_obs.Obs.Metrics.counter_value passes - before
+  in
+  Alcotest.(check bool) "control: inprocess = true runs passes" true (passes_in on > 0);
+  Alcotest.(check int) "default config runs no pass" 0 (passes_in T.default_config)
 
 (* ---------------- frozen discipline ---------------- *)
 
@@ -219,6 +239,7 @@ let suite =
     Alcotest.test_case "modes agree: partial MaxSAT" `Quick test_modes_agree_partial;
     Alcotest.test_case "modes agree: weighted partial" `Quick
       test_modes_agree_weighted;
+    Alcotest.test_case "default config runs no pass" `Quick test_default_runs_no_pass;
     Alcotest.test_case "frozen vars never eliminated" `Quick
       test_frozen_never_eliminated;
     Alcotest.test_case "model restore round-trip" `Quick test_model_restore_roundtrip;
