@@ -86,6 +86,27 @@ let m_exit_signaled =
   Obs.Metrics.counter ~help:"workers killed by a signal (WSIGNALED/WSTOPPED)"
     "msu_worker_exit_total_signaled"
 
+(* OCaml numbers signals with its own negative constants
+   ([Sys.sigkill = -7]); statuses and messages use the system's number
+   (Linux numbering).  A positive number is a signal OCaml has no
+   constant for, already in the system's numbering. *)
+let posix_signals =
+  Sys.
+    [
+      (sighup, 1); (sigint, 2); (sigquit, 3); (sigill, 4); (sigtrap, 5);
+      (sigabrt, 6); (sigbus, 7); (sigfpe, 8); (sigkill, 9); (sigusr1, 10);
+      (sigsegv, 11); (sigusr2, 12); (sigpipe, 13); (sigalrm, 14); (sigterm, 15);
+      (sigchld, 17); (sigcont, 18); (sigstop, 19); (sigtstp, 20); (sigttin, 21);
+      (sigttou, 22); (sigurg, 23); (sigxcpu, 24); (sigxfsz, 25); (sigvtalrm, 26);
+      (sigprof, 27); (sigpoll, 29); (sigsys, 31);
+    ]
+
+let posix_signal n = Option.value (List.assoc_opt n posix_signals) ~default:n
+
+let exit_code = function
+  | Unix.WEXITED n -> n
+  | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + posix_signal n
+
 type 'a exit = {
   status : Unix.process_status;
   result : ('a, string) result;
@@ -284,14 +305,10 @@ let reap t w =
   held := List.filter (fun fd -> not (List.mem fd fds)) !held;
   List.iter close_quietly fds;
   let status = waitpid_block w.pid in
-  let code, signaled =
-    match status with
-    | Unix.WEXITED n -> (n, false)
-    | Unix.WSIGNALED n | Unix.WSTOPPED n -> (128 + n, true)
-  in
+  let signaled = match status with Unix.WEXITED _ -> false | _ -> true in
   Obs.Metrics.inc (if signaled then m_exit_signaled else m_exit_normal);
   Obs.emit t.sink ~id:w.id
-    (Obs.Event.Worker_exit { pid = w.pid; status = code; signaled });
+    (Obs.Event.Worker_exit { pid = w.pid; status = exit_code status; signaled });
   let result =
     match read_result w.tmp with
     | Some r -> r
@@ -300,7 +317,7 @@ let reap t w =
         | Unix.WEXITED 0 -> Error "worker produced no result"
         | Unix.WEXITED n -> Error (Printf.sprintf "worker exit %d" n)
         | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-            Error (Printf.sprintf "worker killed (signal %d)" n))
+            Error (Printf.sprintf "worker killed (signal %d)" (posix_signal n)))
   in
   (try Sys.remove w.tmp with Sys_error _ -> ());
   w.on_exit { status; result; termed = w.termed }

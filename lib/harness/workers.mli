@@ -60,6 +60,15 @@ val write_line : Unix.file_descr -> string -> unit
     blocking write; errors are ignored, so a dead parent costs the
     child its stream, not its solve. *)
 
+val posix_signal : int -> int
+(** The system's number for an OCaml signal number: OCaml's constants
+    are negative ([Sys.sigkill = -7] becomes 9, [Sys.sigterm = -11]
+    becomes 15); a positive number passes through unchanged. *)
+
+val exit_code : Unix.process_status -> int
+(** Shell-style exit status: the exit code, or 128 + the system's
+    signal number for a killed or stopped process (137 for SIGKILL). *)
+
 type 'a t
 (** A pool of workers whose thunks return ['a]. *)
 

@@ -373,13 +373,7 @@ let worker_exited st job (e : T.result Workers.exit) =
   (* The pipe is drained, so every worker span it carried lands inside
      the worker_solve interval. *)
   (match sl.sl_solve with
-  | Some h ->
-      let code =
-        match e.Workers.status with
-        | Unix.WEXITED n -> n
-        | Unix.WSIGNALED n | Unix.WSTOPPED n -> 128 + n
-      in
-      Obs.Span.stop job.j_spans ~c1:code h
+  | Some h -> Obs.Span.stop job.j_spans ~c1:(Workers.exit_code e.Workers.status) h
   | None -> ());
   let r =
     match e.Workers.result with

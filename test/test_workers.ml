@@ -306,6 +306,34 @@ let test_whole_result_survives_kill () =
             | R.Unsat_hard -> "hard-unsat"
             | R.Solved c -> Printf.sprintf "solved %d" c))
 
+(* A SIGKILLed worker reads as the shell reports it: status 137 in its
+   Worker_exit event, and signal 9 (not OCaml's -7) in its reason. *)
+let test_signal_exit_status () =
+  Alcotest.(check (list int)) "OCaml to system signal numbers" [ 9; 15; 42 ]
+    (List.map W.posix_signal [ Sys.sigkill; Sys.sigterm; 42 ]);
+  let exits = ref [] in
+  let sink =
+    Msu_obs.Obs.of_fn (fun ev ->
+        match ev.Msu_obs.Obs.Event.kind with
+        | Msu_obs.Obs.Event.Worker_exit { status; signaled; _ } ->
+            exits := (status, signaled) :: !exits
+        | _ -> ())
+  in
+  let pool = W.create ~sink ~grace:1.0 () in
+  let result = ref None in
+  ignore
+    (W.spawn pool ~deadline:infinity ~on_line:ignore
+       ~on_exit:(fun e -> result := Some e.W.result)
+       (fun ~up:_ ~down:_ -> Unix.kill (Unix.getpid ()) Sys.sigkill));
+  W.wait pool;
+  Alcotest.(check (list (pair int bool))) "Worker_exit status and signaled"
+    [ (137, true) ] !exits;
+  match !result with
+  | Some (Error reason) ->
+      Alcotest.(check string) "reason names signal 9" "worker killed (signal 9)" reason
+  | Some (Ok ()) -> Alcotest.fail "a killed worker returned a result"
+  | None -> Alcotest.fail "worker not reaped"
+
 (* At EOF the tail without a newline reaches the caller's parser like
    any other line: a whole checkpoint frame is accepted, and half a
    frame fails its digest and is dropped. *)
@@ -351,4 +379,5 @@ let suite =
       test_whole_result_survives_kill;
     Alcotest.test_case "EOF tail reaches the parser" `Quick
       test_eof_tail_reaches_parser;
+    Alcotest.test_case "signaled worker exit status" `Quick test_signal_exit_status;
   ]
