@@ -21,18 +21,23 @@ let run_incremental opts (config : Types.config) w t0 =
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
-  (* The rewrite loop re-adds a soft clause with its original literals
-     every time a core touches it, so its variables are effectively
-     external: letting inprocessing eliminate one just forces a
-     resurrection (and a re-elimination) on the next rewrite. *)
-  Wcnf.iter_soft (fun _ c _ -> Array.iter (fun l -> Solver.freeze s (Lit.var l)) c) w;
-  let base = Solver.add_softs s n_soft (Wcnf.soft w) in
-  let sel = Array.init n_soft (fun i -> Lit.pos (base + i)) in
-  let blocks = Array.make n_soft [] in
-  (* Rewrites take fresh selectors, so the map from a selector to its
-     soft clause is a table rather than [base] arithmetic. *)
+  let sel = Array.make (max n_soft 1) (Lit.pos 0) in
+  let blocks = Array.make (max n_soft 1) [] in
   let soft_of_var = Hashtbl.create (max n_soft 16) in
-  Array.iteri (fun i l -> Hashtbl.replace soft_of_var (Lit.var l) i) sel;
+  Common.span config "load" (fun () ->
+      Wcnf.iter_soft
+        (fun i c _ ->
+          let l = Lit.pos (Solver.new_var s) in
+          sel.(i) <- l;
+          Hashtbl.replace soft_of_var (Lit.var l) i;
+          (* The rewrite loop re-adds this clause with its original
+             literals every time a core touches it, so its variables are
+             effectively external: letting inprocessing eliminate one
+             just forces a resurrection (and a re-elimination) on the
+             next rewrite. *)
+          Array.iter (fun lit -> Solver.freeze s (Lit.var lit)) c;
+          Solver.add_clause ~selector:l s c)
+        w);
   let sink =
     Sink.
       {

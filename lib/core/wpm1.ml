@@ -30,29 +30,25 @@ let solve_incremental (config : Types.config) w t0 =
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let softs = Msu_cnf.Vec.create ~dummy:{ lits = [||]; weight = 0; blocks = []; sel = Lit.pos 0 } in
   let soft_of_var = Hashtbl.create 64 in
-  let n_soft = Wcnf.num_soft w in
-  (* Core splits re-add a soft clause with its original literals, so the
-     variables are effectively external: an eliminated one would only be
-     resurrected (and re-eliminated) on the next split. *)
-  Wcnf.iter_soft (fun _ c _ -> Array.iter (fun l -> Solver.freeze s (Lit.var l)) c) w;
-  let base = Solver.add_softs s n_soft (Wcnf.soft w) in
-  for i = 0 to n_soft - 1 do
-    let sel = Lit.pos (base + i) in
-    Msu_cnf.Vec.push softs
-      { lits = Wcnf.soft w i; weight = Wcnf.weight w i; blocks = []; sel };
-    Hashtbl.replace soft_of_var (Lit.var sel) i
-  done;
-  (* A split's remainder enters as a new soft clause under a fresh
-     selector. *)
   let enter_soft soft =
     let i = Msu_cnf.Vec.size softs in
     let l = Lit.pos (Solver.new_var s) in
     soft.sel <- l;
     Msu_cnf.Vec.push softs soft;
     Hashtbl.replace soft_of_var (Lit.var l) i;
+    (* Core splits re-add this clause with its original literals, so the
+       variables are effectively external: an eliminated one would only
+       be resurrected (and re-eliminated) on the next split. *)
+    Array.iter (fun lit -> Solver.freeze s (Lit.var lit)) soft.lits;
     Solver.add_clause ~selector:l s
-      (Array.append soft.lits (Array.of_list soft.blocks))
+      (Array.append soft.lits (Array.of_list soft.blocks));
+    i
   in
+  Common.span config "load" (fun () ->
+      Wcnf.iter_soft
+        (fun _ c weight ->
+          ignore (enter_soft { lits = c; weight; blocks = []; sel = Lit.pos 0 }))
+        w);
   let sink =
     Sink.
       {
@@ -118,13 +114,14 @@ let solve_incremental (config : Types.config) w t0 =
                     (* Split the weight: the remainder survives as a
                        fresh unrelaxed copy. *)
                     if soft.weight > wmin then
-                      enter_soft
-                        {
-                          lits = soft.lits;
-                          weight = soft.weight - wmin;
-                          blocks = soft.blocks;
-                          sel = Lit.pos 0;
-                        };
+                      ignore
+                        (enter_soft
+                           {
+                             lits = soft.lits;
+                             weight = soft.weight - wmin;
+                             blocks = soft.blocks;
+                             sel = Lit.pos 0;
+                           });
                     let b = Lit.pos (Common.frozen_var s ()) in
                     soft.weight <- wmin;
                     soft.blocks <- b :: soft.blocks;

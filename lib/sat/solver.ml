@@ -1060,10 +1060,12 @@ let add_clause ?id ?shareable ?selector s lits =
 let add_clause_l ?id s lits = add_clause ?id s (Array.of_list lits)
 
 (* Bulk soft-clause loading: clause [i] goes in as [get i \/ sel_i]
-   under the fresh selector [base + i].  The clause database, literal
-   order included, is the one [new_var] + [add_clause ~selector] per
-   clause would build; the variable tables are sized once and each
-   clause is packed straight from [get i]. *)
+   under the fresh, frozen selector [base + i].  The clause database,
+   literal order included, is the one a frozen [new_var] and
+   [add_clause] of [get i \/ sel_i] per clause would build; the
+   variable tables are sized once and each clause is packed straight
+   from [get i].  No selector group is registered: the algorithms that
+   load this way never retire a selector. *)
 let add_softs s n get =
   assert (decision_level s = 0);
   Msu_obs.Obs.Span.wrap s.tracer "load" (fun () ->
@@ -1086,9 +1088,7 @@ let add_softs s n get =
           if s.ok then
             match distinct lits with
             | None -> ()
-            | Some lits ->
-                let cr = add_distinct ~safe:false s lits in
-                if cr >= 0 then Hashtbl.add s.selector_groups v (ref [ cr ])
+            | Some lits -> ignore (add_distinct ~safe:false s lits)
         end
       done;
       base)

@@ -92,12 +92,15 @@ val add_softs : t -> int -> (int -> Msu_cnf.Lit.t array) -> int
     [get i \/ sel_i] under the fresh, frozen selector
     [sel_i = Lit.pos (base + i)], so a selector's soft clause is
     [var - base].  The clause database, literal order included, is the
-    one {!new_var} followed by [add_clause ~selector] for each clause in
-    turn would build: duplicate literals, tautologies, level-0
-    assignments and eliminated variables are treated the same.  (A
-    variable re-introduced from elimination enters the decision order
-    after the selectors rather than between them.)  Runs inside a
-    ["load"] span on the solver's tracer.
+    one {!new_var}, {!freeze} and [add_clause] of [get i \/ sel_i] for
+    each clause in turn would build: duplicate literals, tautologies,
+    level-0 assignments and eliminated variables are treated the same.
+    (A variable re-introduced from elimination enters the decision order
+    after the selectors rather than between them.)  The selectors are
+    not registered as [~selector] groups, so {!retire_selector} on one
+    only asserts it and leaves its clause in the database; an algorithm
+    that retires selectors loads with [add_clause ~selector].  Runs
+    inside a ["load"] span on the solver's tracer.
     @raise Invalid_argument if a literal of [get i] names a variable
     [>= base]; the solver is then only partly loaded. *)
 

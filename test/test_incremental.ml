@@ -172,8 +172,9 @@ let test_selector_core_maps_to_assumptions () =
 (* ---------------- bulk soft loading ---------------- *)
 
 (* Load [w]'s hard clauses, run [prepare], then load its soft clauses
-   one by one ([new_var] + [add_clause ~selector]) or in bulk
-   ([add_softs]).  Returns the solver and the selectors. *)
+   one by one (a frozen [new_var] and [add_clause] of [c \/ sel], the
+   way oll and pbo loaded) or in bulk ([add_softs]).  Returns the solver
+   and the selectors. *)
 let load ~bulk ~prepare w =
   let s = Solver.create ~track_proof:false () in
   Solver.ensure_vars s (Wcnf.num_vars w);
@@ -186,9 +187,10 @@ let load ~bulk ~prepare w =
       Array.init n (fun i -> Lit.pos (base + i))
     else
       Array.init n (fun i ->
-          let sel = Lit.pos (Solver.new_var s) in
-          Solver.add_clause ~selector:sel s (Wcnf.soft w i);
-          sel)
+          let v = Solver.new_var s in
+          Solver.freeze s v;
+          Solver.add_clause s (Array.append (Wcnf.soft w i) [| Lit.pos v |]);
+          Lit.pos v)
   in
   (s, sels)
 
