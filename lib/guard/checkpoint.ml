@@ -95,39 +95,34 @@ let of_wire line =
 
 (* ----- streaming writer (worker side) ----- *)
 
-(* Frames are deduplicated (the ticker fires far more often than bounds
-   improve) and written with a trailing newline in a single [write].  A
+(* The ticker fires far more often than bounds move (only at the end of
+   a SAT call), so a frame is encoded only when the cell's change gate
+   opens.  It is written with a trailing newline in a single [write].  A
    worker killed mid-write leaves a newline-less tail, which the parent
    still parses at EOF and drops when its digest fails.  EPIPE (parent
    gone) silently stops the stream: the solve itself keeps running
    under its own guard. *)
 let writer fd cell =
-  let last = ref "" in
   let frames = ref 0 in
   let dead = ref false in
-  fun () ->
-    if not !dead then begin
+  Guard.Progress.publisher cell (fun ~lb:_ ~ub:_ ->
       let c = of_cell cell in
-      if not (is_empty c) then begin
+      if not (!dead || is_empty c) then begin
         let line = to_wire c in
-        if line <> !last then begin
-          (* Chaos hook: after at least one intact frame, die mid-write —
-             the torn frame must not displace the intact one. *)
-          if !frames > 0 && Fault.consume Fault.Torn_checkpoint then begin
-            let torn = String.sub line 0 (String.length line / 2) in
-            (try ignore (Unix.write_substring fd torn 0 (String.length torn))
-             with Unix.Unix_error _ -> ());
-            Unix.kill (Unix.getpid ()) Sys.sigkill
-          end;
-          let framed = line ^ "\n" in
-          (try
-             ignore (Unix.write_substring fd framed 0 (String.length framed));
-             last := line;
-             incr frames
-           with Unix.Unix_error (Unix.EPIPE, _, _) -> dead := true)
-        end
-      end
-    end
+        (* Chaos hook: after at least one intact frame, die mid-write —
+           the torn frame must not displace the intact one. *)
+        if !frames > 0 && Fault.consume Fault.Torn_checkpoint then begin
+          let torn = String.sub line 0 (String.length line / 2) in
+          (try ignore (Unix.write_substring fd torn 0 (String.length torn))
+           with Unix.Unix_error _ -> ());
+          Unix.kill (Unix.getpid ()) Sys.sigkill
+        end;
+        let framed = line ^ "\n" in
+        try
+          ignore (Unix.write_substring fd framed 0 (String.length framed));
+          incr frames
+        with Unix.Unix_error (Unix.EPIPE, _, _) -> dead := true
+      end)
 
 (* ----- accumulating reader (parent side) ----- *)
 

@@ -41,10 +41,14 @@ val of_wire : string -> t option
 (** [None] on a torn or corrupted frame — the digest must match. *)
 
 val writer : Unix.file_descr -> Guard.Progress.cell -> unit -> unit
-(** [writer fd cell] is a guard-ticker thunk that streams deduplicated
-    frames of [cell] to [fd].  EPIPE stops the stream silently; an armed
-    {!Fault.Torn_checkpoint} makes it die mid-frame (after at least one
-    intact frame) to exercise the reader's tear tolerance. *)
+(** [writer fd cell] is a guard-ticker thunk that streams frames of
+    [cell] to [fd], one per change.  A frame is built only when the
+    bracket or the incumbent moved since the last one
+    ({!Guard.Progress.publisher}, the gate the portfolio's bound lines
+    also use); a tick that finds them unchanged costs a comparison.  An
+    empty cell writes nothing.  EPIPE stops the stream silently; an
+    armed {!Fault.Torn_checkpoint} makes it die mid-frame (after at
+    least one intact frame) to exercise the reader's tear tolerance. *)
 
 (** Parent-side accumulator: feed raw pipe bytes, keep the newest
     intact frame, count torn/corrupt ones. *)

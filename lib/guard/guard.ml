@@ -185,6 +185,21 @@ module Progress = struct
   let lb c = c.lb
   let ub c = c.ub
   let model c = c.model
+
+  (* [note_ub] installs a fresh [Some] whenever the upper bound falls,
+     and the model only ever changes with it, so the physical identity
+     of [c.ub] is an exact change test for both.  What was sent is
+     recorded after [send] returns: a send that raises is retried on
+     the next call. *)
+  let publisher c send =
+    let sent_lb = ref (-1) and sent_ub = ref None in
+    fun () ->
+      let lb = c.lb and ub = c.ub in
+      if lb <> !sent_lb || ub != !sent_ub then begin
+        send ~lb:(lb <> !sent_lb) ~ub:(ub != !sent_ub);
+        sent_lb := lb;
+        sent_ub := ub
+      end
 end
 
 let supervise ?(spans = Msu_obs.Obs.Span.disabled) f =

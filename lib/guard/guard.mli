@@ -156,6 +156,15 @@ module Progress : sig
   val ub : cell -> int option
   val model : cell -> bool array option
   (** The model achieving {!ub}, when one was published. *)
+
+  val publisher : cell -> (lb:bool -> ub:bool -> unit) -> unit -> unit
+  (** [publisher cell send] is the change gate of every bound stream
+      (checkpoint frames, portfolio [l]/[u]/[m] lines).  Each call of the
+      returned thunk calls [send ~lb ~ub] only when the cell moved since
+      the last [send]: [lb] when the lower bound rose, [ub] when the
+      upper bound fell (its model moves with it).  A call that finds the
+      cell unchanged costs two comparisons and allocates nothing.  The
+      first call always sends, with [~lb:true], even on an empty cell. *)
 end
 
 val supervise : ?spans:Msu_obs.Obs.Span.t -> (unit -> 'a) -> ('a, string) result

@@ -180,6 +180,21 @@ module Wire = struct
     let s = Array.copy lits in
     Array.sort compare s;
     String.concat "," (Array.to_list (Array.map string_of_int s))
+
+  let publisher write cell =
+    G.Progress.publisher cell (fun ~lb ~ub ->
+        if lb then write ("l " ^ string_of_int (G.Progress.lb cell));
+        match G.Progress.ub cell with
+        | Some u when ub ->
+            write ("u " ^ string_of_int u);
+            (* Stream the incumbent itself alongside the bound: the
+               parent re-costs it, so a model-backed ub survives even a
+               SIGKILL and can close a cross-worker gap the bare "u"
+               frame cannot. *)
+            (match G.Progress.model cell with
+            | Some m -> write (model_line ~cost:u m)
+            | None -> ())
+        | _ -> ())
 end
 
 (* Parent-side sharing metrics (the workers are forked, so their
@@ -228,25 +243,7 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~index ~observe ~share
   let cell = G.Progress.create () in
   let inbuf = Buffer.create 128 in
   let chunk = Bytes.create 4096 in
-  let sent_lb = ref (-1) and sent_ub = ref max_int in
-  let publish () =
-    let lb = G.Progress.lb cell in
-    if lb > !sent_lb then begin
-      sent_lb := lb;
-      Workers.write_line up ("l " ^ string_of_int lb)
-    end;
-    match G.Progress.ub cell with
-    | Some u when u < !sent_ub ->
-        sent_ub := u;
-        Workers.write_line up ("u " ^ string_of_int u);
-        (* Stream the incumbent itself alongside the bound: the parent
-           re-costs it, so a model-backed ub survives even a SIGKILL and
-           can close a cross-worker gap the bare "u" frame cannot. *)
-        (match G.Progress.model cell with
-        | Some m -> Workers.write_line up (Wire.model_line ~cost:u m)
-        | None -> ())
-    | _ -> ()
-  in
+  let publish = Wire.publisher (Workers.write_line up) cell in
   (* Foreign clauses received from the parent, drained by the solver at
      its next restart boundary (Solver.set_importer). *)
   let imports = ref [] in

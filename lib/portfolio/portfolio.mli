@@ -62,6 +62,14 @@ module Wire : sig
 
   val digest : int array -> string
   (** Order-independent dedup key: the sorted packed literals. *)
+
+  val publisher :
+    (string -> unit) -> Msu_guard.Guard.Progress.cell -> unit -> unit
+  (** [publisher write cell] is a worker's bound stream: a thunk that
+      writes ["l <lb>"] when the lower bound rose, and ["u <ub>"] plus
+      the incumbent's ["m"] line when the upper bound fell, through the
+      cell's change gate ({!Msu_guard.Guard.Progress.publisher}).  The
+      first call writes the lower bound even when it is still 0. *)
 end
 
 type spec = {

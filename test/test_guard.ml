@@ -293,6 +293,90 @@ let test_checkpoint_merge () =
     ((Ck.merge a bare).Ck.model = Some [| true |]
     && (Ck.merge bare a).Ck.model = Some [| true |])
 
+(* The ticker fires on every 64th guard poll, but the bounds move only
+   when a SAT call ends: the writer sends one frame per change, and a
+   tick that finds the cell unchanged allocates nothing. *)
+let test_checkpoint_writer_once_per_change () =
+  let r, w = Unix.pipe () in
+  (* Non-blocking on both ends: a writer that sent a frame per tick
+     would fill the pipe and fail with EAGAIN instead of hanging. *)
+  Unix.set_nonblock r;
+  Unix.set_nonblock w;
+  let pending = Buffer.create 256 and chunk = Bytes.create 4096 in
+  (* The complete lines written since the last call. *)
+  let frames () =
+    let rec rd () =
+      match Unix.read r chunk 0 (Bytes.length chunk) with
+      | 0 -> ()
+      | n ->
+          Buffer.add_subbytes pending chunk 0 n;
+          rd ()
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+    in
+    rd ();
+    let lines = String.split_on_char '\n' (Buffer.contents pending) in
+    Buffer.clear pending;
+    match List.rev lines with
+    | tail :: complete ->
+        Buffer.add_string pending tail;
+        List.rev complete
+    | [] -> []
+  in
+  let cell = G.Progress.create () in
+  let tick = Ck.writer w cell in
+  let ticks n =
+    for _ = 1 to n do
+      tick ()
+    done
+  in
+  ticks 10_000;
+  Alcotest.(check (list string)) "an empty cell writes nothing" [] (frames ());
+  let one_frame what =
+    ticks 10_000;
+    match frames () with
+    | [ line ] ->
+        Alcotest.(check bool)
+          (what ^ ": the frame decodes to the cell")
+          true
+          (Ck.of_wire line = Some (Ck.of_cell cell))
+    | lines ->
+        Alcotest.failf "%s: %d frames in 10000 ticks, expected 1" what
+          (List.length lines)
+  in
+  G.Progress.note_lb cell 1;
+  one_frame "first lb";
+  G.Progress.note_lb cell 2;
+  one_frame "lb raise";
+  G.Progress.note_ub cell 9 (Some [| true; false; true |]);
+  one_frame "first ub with a model";
+  G.Progress.note_ub cell 7 (Some [| false; true; true |]);
+  one_frame "ub drop with a model";
+  G.Progress.note_lb cell 4;
+  G.Progress.note_ub cell 5 (Some [| true; true; false |]);
+  one_frame "lb raise and ub drop between two ticks";
+  (* Bounds that do not improve leave the cell, and the stream, as is. *)
+  G.Progress.note_lb cell 1;
+  G.Progress.note_ub cell 6 (Some [| false; false; false |]);
+  let before = Gc.minor_words () in
+  ticks 10_000;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (list string)) "an unchanged cell writes nothing" [] (frames ());
+  Alcotest.(check bool)
+    (Printf.sprintf "10000 unchanged ticks allocate nothing (%.0f words)" words)
+    true (words < 64.);
+  (* A parent that went away ends the stream without raising. *)
+  Unix.close r;
+  let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.set_signal Sys.sigpipe previous;
+      Unix.close w)
+    (fun () ->
+      G.Progress.note_lb cell 5;
+      tick ();
+      G.Progress.note_ub cell 5 (Some [| true; false; false |]);
+      tick ())
+
 (* The Torn_checkpoint fault SIGKILLs the worker halfway through a
    frame — after at least one intact frame went out.  Whatever the
    parent salvages must come from an intact frame, so the run either
@@ -375,6 +459,8 @@ let suite =
     Alcotest.test_case "checkpoint reader keeps intact frames" `Quick
       test_checkpoint_reader_keeps_intact;
     Alcotest.test_case "checkpoint merge" `Quick test_checkpoint_merge;
+    Alcotest.test_case "checkpoint writer publishes once per change" `Quick
+      test_checkpoint_writer_once_per_change;
     Alcotest.test_case "torn checkpoint frame" `Quick test_torn_checkpoint_crash;
     Alcotest.test_case "warm resume reuses progress" `Quick
       test_warm_resume_reuses_progress;

@@ -325,6 +325,57 @@ let test_wire_fuzz () =
     | None -> ()
   done
 
+(* A worker's l/u/m lines as its ticker wrote them, with its own
+   sent-bound bookkeeping, before they went through the cell's shared
+   change gate: the reference sequence. *)
+let reference_publish write cell =
+  let module G = Msu_guard.Guard in
+  let sent_lb = ref (-1) and sent_ub = ref max_int in
+  fun () ->
+    let lb = G.Progress.lb cell in
+    if lb > !sent_lb then begin
+      sent_lb := lb;
+      write ("l " ^ string_of_int lb)
+    end;
+    match G.Progress.ub cell with
+    | Some u when u < !sent_ub ->
+        sent_ub := u;
+        write ("u " ^ string_of_int u);
+        (match G.Progress.model cell with
+        | Some m -> write (P.Wire.model_line ~cost:u m)
+        | None -> ())
+    | _ -> ()
+
+(* Random runs of bound notes (improving or not, ub with or without a
+   model) and ticks: the gated publisher writes the same lines in the
+   same order, including the "l 0" of a first tick on an empty cell. *)
+let prop_publisher_matches_reference =
+  QCheck.Test.make ~name:"bound lines match the reference publisher" ~count:500
+    QCheck.int (fun seed ->
+      let module G = Msu_guard.Guard in
+      let st = Random.State.make [| seed |] in
+      let cell = G.Progress.create () in
+      let got = ref [] and want = ref [] in
+      let publish = P.Wire.publisher (fun l -> got := l :: !got) cell in
+      let reference = reference_publish (fun l -> want := l :: !want) cell in
+      let tick () =
+        publish ();
+        reference ()
+      in
+      for _ = 1 to Random.State.int st 40 do
+        (match Random.State.int st 4 with
+        | 0 -> G.Progress.note_lb cell (Random.State.int st 20)
+        | 1 ->
+            G.Progress.note_ub cell (Random.State.int st 30)
+              (if Random.State.bool st then
+                 Some (Array.init 3 (fun _ -> Random.State.bool st))
+               else None)
+        | _ -> ());
+        if Random.State.bool st then tick ()
+      done;
+      tick ();
+      !got = !want && !got <> [])
+
 (* ---------------- clause sharing ---------------- *)
 
 (* Sharing forced on: the portfolio still proves exactly the brute-force
@@ -520,6 +571,7 @@ let suite =
     Alcotest.test_case "wire rejects malformed frames" `Quick
       test_wire_rejects_malformed;
     Alcotest.test_case "wire fuzz" `Quick test_wire_fuzz;
+    QCheck_alcotest.to_alcotest prop_publisher_matches_reference;
     Alcotest.test_case "sharing matches brute force" `Quick
       test_sharing_matches_brute_force;
     Alcotest.test_case "sharing events match metrics" `Quick
