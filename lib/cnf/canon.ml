@@ -25,63 +25,98 @@ let compare_clause a b =
 let norm_clause c =
   let c = Array.copy c in
   Array.sort Lit.compare c;
-  let n = Array.length c in
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    if i = 0 || not (Lit.equal c.(i) c.(i - 1)) then out := c.(i) :: !out
+  let k = ref (min 1 (Array.length c)) in
+  for i = 1 to Array.length c - 1 do
+    if not (Lit.equal c.(i) c.(!k - 1)) then begin
+      c.(!k) <- c.(i);
+      incr k
+    end
   done;
-  Array.of_list !out
+  if !k = Array.length c then c else Array.sub c 0 !k
 
-let canonical w =
-  let hard =
-    let cs = ref [] in
-    Wcnf.iter_hard (fun _ c -> cs := norm_clause c :: !cs) w;
-    List.sort_uniq compare_clause !cs
-  in
-  (* Duplicated soft clauses merge by summing weights: k copies of C at
-     weights w1..wk falsify together, so one copy at weight w1+..+wk
-     gives every model the identical cost. *)
-  let soft = Hashtbl.create 64 in
-  Wcnf.iter_soft
-    (fun _ c weight ->
-      let c = norm_clause c in
-      let prev = Option.value ~default:0 (Hashtbl.find_opt soft c) in
-      Hashtbl.replace soft c (prev + weight))
-    w;
-  let soft =
-    Hashtbl.fold (fun c weight acc -> (c, weight) :: acc) soft []
-    |> List.sort (fun (a, wa) (b, wb) ->
-           let c = compare_clause a b in
-           if c <> 0 then c else compare wa wb)
-  in
-  (* Variables never referenced by a clause are free: they cannot change
-     any model's cost, so the canonical form forgets them. *)
-  let max_var = ref (-1) in
-  let note c = Array.iter (fun l -> max_var := max !max_var (Lit.var l)) c in
-  List.iter note hard;
-  List.iter (fun (c, _) -> note c) soft;
-  let out = Wcnf.create () in
-  Wcnf.ensure_vars out (!max_var + 1);
-  List.iter (fun c -> Wcnf.add_hard out c) hard;
-  List.iter (fun (c, weight) -> ignore (Wcnf.add_soft out ~weight c)) soft;
-  out
+(* Stable-sort [a] and fold each run of [cmp]-equal elements into its
+   first with [merge]; the runs end up in [a.(0 .. k-1)], and [k] is
+   returned. *)
+let sort_merge cmp merge a =
+  Array.stable_sort cmp a;
+  let k = ref 0 in
+  Array.iter
+    (fun x ->
+      if !k > 0 && cmp a.(!k - 1) x = 0 then a.(!k - 1) <- merge a.(!k - 1) x
+      else begin
+        a.(!k) <- x;
+        incr k
+      end)
+    a;
+  !k
 
-let render w =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "p wcnf %d %d\n" (Wcnf.num_vars w)
-       (Wcnf.num_hard w + Wcnf.num_soft w));
-  let add_clause prefix c =
-    Buffer.add_string buf prefix;
+(* [n] in decimal, exactly as [string_of_int] prints it.  Digits are
+   produced from the non-positive side so [min_int] needs no case. *)
+let add_int buf n =
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+  in
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    digits n
+  end
+  else digits (-n)
+
+(* The canonical text, built in one pass over the instance and hashed:
+
+     p wcnf <vars> <clauses>
+     h <lit> ... 0          hard clauses, sorted, duplicates dropped
+     s <weight> <lit> ... 0 soft clauses, sorted, duplicates merged
+
+   Literals are sorted and deduplicated per clause; clauses are ordered
+   by {!compare_clause}.  Duplicated soft clauses merge by summing
+   weights: k copies of C at weights w1..wk falsify together, so one
+   copy at weight w1+..+wk gives every model the identical cost.
+   <vars> is one past the largest variable a clause mentions: variables
+   never referenced are free and cannot change any model's cost.  The
+   text is a persisted format — the service's cache file is keyed by
+   its digest — so it must not change. *)
+let fingerprint w =
+  let num_vars = ref 0 in
+  let norm c =
+    let c = norm_clause c in
+    (* A normalized clause's last literal carries its largest variable. *)
+    let n = Array.length c in
+    if n > 0 then num_vars := max !num_vars (Lit.var c.(n - 1) + 1);
+    c
+  in
+  let hard = Array.init (Wcnf.num_hard w) (fun i -> norm (Wcnf.hard w i)) in
+  let nh = sort_merge compare_clause (fun c _ -> c) hard in
+  let soft = Array.init (Wcnf.num_soft w) (fun i -> (norm (Wcnf.soft w i), Wcnf.weight w i)) in
+  let ns =
+    sort_merge
+      (fun (a, _) (b, _) -> compare_clause a b)
+      (fun (c, wa) (_, wb) -> (c, wa + wb))
+      soft
+  in
+  let buf = Buffer.create (32 * (nh + ns) + 32) in
+  let add_clause c =
     Array.iter
       (fun l ->
         Buffer.add_char buf ' ';
-        Buffer.add_string buf (string_of_int (Lit.to_dimacs l)))
+        add_int buf (Lit.to_dimacs l))
       c;
     Buffer.add_string buf " 0\n"
   in
-  Wcnf.iter_hard (fun _ c -> add_clause "h" c) w;
-  Wcnf.iter_soft (fun _ c weight -> add_clause (Printf.sprintf "s %d" weight) c) w;
-  Buffer.contents buf
-
-let fingerprint w = Digest.to_hex (Digest.string (render (canonical w)))
+  Buffer.add_string buf "p wcnf ";
+  add_int buf !num_vars;
+  Buffer.add_char buf ' ';
+  add_int buf (nh + ns);
+  Buffer.add_char buf '\n';
+  for i = 0 to nh - 1 do
+    Buffer.add_char buf 'h';
+    add_clause hard.(i)
+  done;
+  for i = 0 to ns - 1 do
+    let c, weight = soft.(i) in
+    Buffer.add_string buf "s ";
+    add_int buf weight;
+    add_clause c
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))

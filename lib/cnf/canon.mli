@@ -11,17 +11,13 @@
     still double-checks by re-costing the cached model on the
     {e requesting} instance before serving a hit. *)
 
-val canonical : Wcnf.t -> Wcnf.t
-(** A normalized copy; the input is not modified. *)
-
-val render : Wcnf.t -> string
-(** Deterministic text form of an instance (canonical or not); feed a
-    {!canonical} instance to get the canonical text. *)
-
 val fingerprint : Wcnf.t -> string
-(** Hex digest of the canonical text.  Permuted, duplicated or
-    re-weighted presentations of one cost function collide by design;
-    distinct cost functions differ (up to hash collisions). *)
+(** MD5 hex digest of the instance's canonical text, which is built in
+    one pass over the instance; the input is not modified.  Permuted,
+    duplicated or re-weighted presentations of one cost function
+    collide by design; distinct cost functions differ (up to hash
+    collisions).  The text is fixed, so digests persisted in a cache
+    file stay valid across versions. *)
 
 val compare_clause : Lit.t array -> Lit.t array -> int
 (** Total order on clauses: length first, then literal-wise. *)

@@ -98,6 +98,138 @@ let test_fingerprint_distinguishes () =
   Wcnf.add_hard swapped (clause [ -2; 3 ]);
   Alcotest.(check bool) "hard/soft swap differs" false (fp base = fp swapped)
 
+(* The canonical text as the list-and-Hashtbl canonicalizer built it
+   before [Canon.fingerprint] moved to one pass over the instance: the
+   reference the digests must keep matching, since cache files persist
+   them. *)
+module Reference_canon = struct
+  module Lit = Msu_cnf.Lit
+
+  let compare_clause a b =
+    let la = Array.length a and lb = Array.length b in
+    if la <> lb then compare la lb
+    else begin
+      let rec go i =
+        if i = la then 0
+        else
+          let c = Lit.compare a.(i) b.(i) in
+          if c <> 0 then c else go (i + 1)
+      in
+      go 0
+    end
+
+  let norm_clause c =
+    let c = Array.copy c in
+    Array.sort Lit.compare c;
+    let n = Array.length c in
+    let out = ref [] in
+    for i = n - 1 downto 0 do
+      if i = 0 || not (Lit.equal c.(i) c.(i - 1)) then out := c.(i) :: !out
+    done;
+    Array.of_list !out
+
+  let canonical w =
+    let hard =
+      let cs = ref [] in
+      Wcnf.iter_hard (fun _ c -> cs := norm_clause c :: !cs) w;
+      List.sort_uniq compare_clause !cs
+    in
+    let soft = Hashtbl.create 64 in
+    Wcnf.iter_soft
+      (fun _ c weight ->
+        let c = norm_clause c in
+        let prev = Option.value ~default:0 (Hashtbl.find_opt soft c) in
+        Hashtbl.replace soft c (prev + weight))
+      w;
+    let soft =
+      Hashtbl.fold (fun c weight acc -> (c, weight) :: acc) soft []
+      |> List.sort (fun (a, wa) (b, wb) ->
+             let c = compare_clause a b in
+             if c <> 0 then c else compare wa wb)
+    in
+    let max_var = ref (-1) in
+    let note c = Array.iter (fun l -> max_var := max !max_var (Lit.var l)) c in
+    List.iter note hard;
+    List.iter (fun (c, _) -> note c) soft;
+    let out = Wcnf.create () in
+    Wcnf.ensure_vars out (!max_var + 1);
+    List.iter (fun c -> Wcnf.add_hard out c) hard;
+    List.iter (fun (c, weight) -> ignore (Wcnf.add_soft out ~weight c)) soft;
+    out
+
+  let render w =
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf
+      (Printf.sprintf "p wcnf %d %d\n" (Wcnf.num_vars w)
+         (Wcnf.num_hard w + Wcnf.num_soft w));
+    let add_clause prefix c =
+      Buffer.add_string buf prefix;
+      Array.iter
+        (fun l ->
+          Buffer.add_char buf ' ';
+          Buffer.add_string buf (string_of_int (Lit.to_dimacs l)))
+        c;
+      Buffer.add_string buf " 0\n"
+    in
+    Wcnf.iter_hard (fun _ c -> add_clause "h" c) w;
+    Wcnf.iter_soft
+      (fun _ c weight -> add_clause (Printf.sprintf "s %d" weight) c)
+      w;
+    Buffer.contents buf
+
+  let fingerprint w = Digest.to_hex (Digest.string (render (canonical w)))
+end
+
+(* Random WCNFs over every case the canonical form handles: hard and
+   soft clauses, weights above 1, duplicated literals (the variable
+   range is small), tautologies, empty clauses, duplicated clauses
+   (re-added with their literals shuffled, as hard or soft), and
+   declared variables no clause mentions. *)
+let random_wcnf st =
+  let n_vars = 1 + Random.State.int st 6 in
+  let w = Wcnf.create () in
+  Wcnf.ensure_vars w (n_vars + Random.State.int st 3);
+  let added = ref [] in
+  let fresh () =
+    Array.init (Random.State.int st 5) (fun _ ->
+        Msu_cnf.Lit.make (Random.State.int st n_vars) (Random.State.bool st))
+  in
+  let shuffled c =
+    let c = Array.copy c in
+    for i = Array.length c - 1 downto 1 do
+      let j = Random.State.int st (i + 1) in
+      let t = c.(i) in
+      c.(i) <- c.(j);
+      c.(j) <- t
+    done;
+    c
+  in
+  for _ = 1 to Random.State.int st 12 do
+    let c =
+      match !added with
+      | _ :: _ when Random.State.int st 4 = 0 ->
+          shuffled (List.nth !added (Random.State.int st (List.length !added)))
+      | _ -> fresh ()
+    in
+    added := c :: !added;
+    if Random.State.int st 3 = 0 then Wcnf.add_hard w c
+    else ignore (Wcnf.add_soft w ~weight:(1 + Random.State.int st 3) c)
+  done;
+  w
+
+let prop_fingerprint_matches_reference =
+  QCheck.Test.make ~name:"fingerprint matches the reference canonical text"
+    ~count:2000 QCheck.int (fun seed ->
+      let w = random_wcnf (Random.State.make [| seed |]) in
+      fp w = Reference_canon.fingerprint w)
+
+(* The digest of the paper's Example 2, computed by the list-and-Hashtbl
+   canonicalizer: a change to the canonical text cannot pass silently,
+   even one the reference above were edited to follow. *)
+let test_fingerprint_pinned () =
+  Alcotest.(check string) "example 2's digest" "f091e575400d3d7ffdcffd02c0b1f7f9"
+    (fp (example2 ()))
+
 (* ----- bounded priority queue ----- *)
 
 let test_jobq () =
@@ -559,6 +691,8 @@ let suite =
       test_fingerprint_merges_duplicates;
     Alcotest.test_case "fingerprint distinguishes" `Quick
       test_fingerprint_distinguishes;
+    QCheck_alcotest.to_alcotest prop_fingerprint_matches_reference;
+    Alcotest.test_case "fingerprint pinned" `Quick test_fingerprint_pinned;
     Alcotest.test_case "job queue" `Quick test_jobq;
     Alcotest.test_case "cache hit is re-verified" `Quick
       test_cache_hit_and_verify;
