@@ -121,6 +121,7 @@ type state = {
          profiled job's id (daemon-side spans and the worker's forwarded
          stream alike) buffers here until the job finishes, then leaves
          as one Chrome trace file *)
+  chunk : Bytes.t;  (* connection read buffer, reused across reads *)
 }
 
 (* ---------------- observability ---------------- *)
@@ -577,14 +578,14 @@ let handle_solve st conn (wire : P.wire_wcnf) (options : P.options) =
         Obs.Metrics.inc m_rejected;
         send st conn (P.Rejected { reason = "malformed instance" })
     | w ->
-        let fingerprint = Canon.fingerprint w in
         let id = st.next_id in
         st.next_id <- id + 1;
         let submitted = Unix.gettimeofday () in
         (* Per-request tracer: live whenever the daemon streams events
            or profiles.  The request span anchors everything else —
-           cache lookup, queue wait, the worker-solve interval and the
-           worker's own forwarded spans all re-parent under it. *)
+           fingerprint, cache lookup, queue wait, the worker-solve
+           interval and the worker's own forwarded spans all re-parent
+           under it. *)
         let profiling = st.cfg.profile_dir <> None in
         let spans =
           if profiling || not (Obs.is_null st.cfg.sink) then begin
@@ -600,6 +601,9 @@ let handle_solve st conn (wire : P.wire_wcnf) (options : P.options) =
             Some h
           end
           else None
+        in
+        let fingerprint =
+          Obs.Span.wrap spans "fingerprint" (fun () -> Canon.fingerprint w)
         in
         let serve_hit (cost, model) =
           st.hits <- st.hits + 1;
@@ -752,14 +756,13 @@ let accept_new st =
       ()
 
 let read_conn st conn =
-  let chunk = Bytes.create 65536 in
   let closed = ref false in
   (try
      let rec rd () =
-       match Unix.read conn.c_fd chunk 0 (Bytes.length chunk) with
+       match Unix.read conn.c_fd st.chunk 0 (Bytes.length st.chunk) with
        | 0 -> closed := true
        | n ->
-           Buffer.add_subbytes conn.c_buf chunk 0 n;
+           Buffer.add_subbytes conn.c_buf st.chunk 0 n;
            rd ()
        | exception
            Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
@@ -856,6 +859,7 @@ let run ?(handle_signals = false) cfg =
       outcome_counts = Hashtbl.create 4;
       last_metrics_write = 0.;
       profiles = Hashtbl.create 8;
+      chunk = Bytes.create 65536;
     }
   in
   say st "listening on %s (%d workers, queue %d, cache %d%s)" cfg.socket_path
