@@ -52,16 +52,16 @@ let sort_merge cmp merge a =
 
 (* [n] in decimal, exactly as [string_of_int] prints it.  Digits are
    produced from the non-positive side so [min_int] needs no case. *)
+let rec add_digits buf n =
+  if n <= -10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
 let add_int buf n =
-  let rec digits n =
-    if n <= -10 then digits (n / 10);
-    Buffer.add_char buf (Char.unsafe_chr (Char.code '0' - (n mod 10)))
-  in
   if n < 0 then begin
     Buffer.add_char buf '-';
-    digits n
+    add_digits buf n
   end
-  else digits (-n)
+  else add_digits buf (-n)
 
 (* The canonical text, built in one pass over the instance and hashed:
 
@@ -97,11 +97,10 @@ let fingerprint w =
   in
   let buf = Buffer.create (32 * (nh + ns) + 32) in
   let add_clause c =
-    Array.iter
-      (fun l ->
-        Buffer.add_char buf ' ';
-        add_int buf (Lit.to_dimacs l))
-      c;
+    for i = 0 to Array.length c - 1 do
+      Buffer.add_char buf ' ';
+      add_int buf (Lit.to_dimacs c.(i))
+    done;
     Buffer.add_string buf " 0\n"
   in
   Buffer.add_string buf "p wcnf ";
