@@ -867,7 +867,7 @@ let ablation_portfolio () =
    before submitting the next request) replaying the mixed suite with
    every instance duplicated [dup] times, so the fingerprint cache sees
    real repeats.  Per-request latencies come back from the clients as
-   Marshal temp files; the daemon's own stats give the hit-rate; every
+   temp files of frames; the daemon's own stats give the hit-rate; every
    distinct instance is also solved cold in-process and the optima are
    cross-checked.  Aggregates land in BENCH_service.json. *)
 
@@ -897,8 +897,22 @@ let latency_doc a =
       ("p95_s", Json.Num (percentile a 0.95));
     ]
 
+(* One client-side request: instance, seconds, cached, optimum. *)
+let client_result =
+  let module Frame = Msu_frame.Frame in
+  let rest = Frame.pair Frame.float (Frame.pair Frame.bool (Frame.option Frame.nat)) in
+  {
+    Frame.write = (fun b (name, t, cached, opt) -> Frame.string.write b name; rest.write b (t, (cached, opt)));
+    read =
+      (fun s ->
+        let name = Frame.string.read s in
+        let t, (cached, opt) = rest.read s in
+        (name, t, cached, opt));
+  }
+
 let ablation_service () =
   let module Service = Msu_service.Service in
+  let module Frame = Msu_frame.Frame in
   let module Client = Msu_service.Client in
   let module Proto = Msu_service.Protocol in
   let subsample l = if !smoke then List.filteri (fun i _ -> i mod 3 = 0) l else l in
@@ -966,11 +980,10 @@ let ablation_service () =
               rs
             with _ -> []
           in
-          let oc = open_out_bin out_path in
-          Marshal.to_channel oc
-            (results : (string * float * bool * int option) list)
-            [];
-          close_out oc;
+          (try
+             Frame.write_file out_path
+               (List.map (Frame.encode Frame.Result client_result) results)
+           with _ -> ());
           Unix._exit 0
         end
         else pid)
@@ -984,11 +997,7 @@ let ablation_service () =
   let client_results =
     List.concat_map
       (fun path ->
-        let ic = open_in_bin path in
-        let (r : (string * float * bool * int option) list) =
-          try Marshal.from_channel ic with _ -> []
-        in
-        close_in ic;
+        let r = Frame.read_file Frame.Result client_result path in
         (try Sys.remove path with Sys_error _ -> ());
         r)
       client_files
@@ -1366,12 +1375,17 @@ let ablation_chaos () =
   in
   if not ok_cache then complain "corrupt cache snapshot did not load as empty";
   (try Sys.remove jpath with Sys_error _ -> ());
-  let rd = Ck.reader () in
+  (* A whole bracket frame, then half of the next one: the whole frame
+     decodes and the torn tail never reads as a frame. *)
   let ck = { Ck.lb = 1; ub = Some 3; model = None } in
-  let wire = Ck.to_wire ck in
-  Ck.feed rd (wire ^ "\n");
-  Ck.feed rd (String.sub wire 0 (String.length wire / 2) ^ "\n");
-  let ok_ck = Ck.latest rd = Some ck && Ck.dropped rd = 1 in
+  let whole = Bytes.to_string (Ck.frame ck) in
+  let torn = String.sub whole 0 (String.length whole / 2) in
+  let stream = whole ^ torn in
+  let ok_ck =
+    match Msu_frame.Frame.parse stream 0 with
+    | Some (f, next) -> Ck.of_frame f = ck && Msu_frame.Frame.parse stream next = None
+    | None | (exception _) -> false
+  in
   if not ok_ck then complain "torn checkpoint frame corrupted the kept checkpoint";
   Printf.printf "  corruption: torn/flipped/alien journals, cache, checkpoint all \
                  degraded cleanly\n%!";

@@ -91,6 +91,39 @@ let outcome_bounds = function
   | Bounds { lb; ub } | Crashed { lb; ub; _ } -> (lb, ub)
   | Hard_unsat -> (0, None)
 
+(* ----- frame codecs, shared by service replies and worker results -----
+
+   An outcome travels as its name and its bracket, which the bracket
+   codec refuses when negative or crossed. *)
+
+module Frame = Msu_frame.Frame
+
+let outcome_codec =
+  Frame.map
+    (function
+      | Optimum c -> ("optimum", (c, Some c))
+      | Bounds { lb; ub } -> ("bounds", (lb, ub))
+      | Hard_unsat -> ("hard_unsat", (0, None))
+      | Crashed { reason; lb; ub } -> ("crashed:" ^ reason, (lb, ub)))
+    (function
+      | "optimum", (c, _) -> Optimum c
+      | "bounds", (lb, ub) -> Bounds { lb; ub }
+      | "hard_unsat", _ -> Hard_unsat
+      | s, (lb, ub) when String.starts_with ~prefix:"crashed:" s ->
+          Crashed { reason = String.sub s 8 (String.length s - 8); lb; ub }
+      | _ -> Frame.malformed "unknown outcome")
+    (Frame.pair Frame.string Msu_guard.Checkpoint.bracket)
+
+let result_codec =
+  let open Frame in
+  map
+    (fun r ->
+      let s = r.stats in
+      ((r.outcome, r.model), (((s.sat_calls, s.cores), (s.blocking_vars, s.encoding_clauses)), r.elapsed)))
+    (fun ((outcome, model), (((sat_calls, cores), (blocking_vars, encoding_clauses)), elapsed)) ->
+      { outcome; model; stats = { sat_calls; cores; blocking_vars; encoding_clauses }; elapsed })
+    (pair (pair outcome_codec (option bits)) (pair (pair (pair nat nat) (pair nat nat)) float))
+
 let max_satisfied w r =
   match r.outcome with
   | Optimum cost -> Some (Msu_cnf.Wcnf.total_soft_weight w - cost)

@@ -111,6 +111,12 @@ val outcome_bounds : outcome -> int * int option
     proved optimum; [(0, None)] for [Hard_unsat], whose cost bracket is
     vacuous). *)
 
+val outcome_codec : outcome Msu_frame.Frame.codec
+(** Service replies carry it.  Reading refuses a crossed bracket. *)
+
+val result_codec : result Msu_frame.Frame.codec
+(** The result frame of a service or portfolio worker. *)
+
 val max_satisfied : Msu_cnf.Wcnf.t -> result -> int option
 (** [m - cost] when the optimum is known (plain-MaxSAT reading). *)
 

@@ -1,11 +1,13 @@
 (** Warm-resume checkpoints.
 
     The crash-survivable digest of one solve: the certified lb/ub
-    bracket and the incumbent model backing the upper bound.  A worker
-    streams [ck] frames up its one {!Msu_harness.Workers} pipe on the
-    guard ticker cadence; the parent keeps the last intact frame and
-    re-seeds a retried solve from it, so monotone work (cores counted,
-    models found) survives process death.
+    bracket and the incumbent model backing the upper bound.  This is
+    the one bound frame: runner and service workers stream it up their
+    {!Msu_harness.Workers} pipe on the guard ticker cadence (the parent
+    keeps the last whole frame and re-seeds a retried solve from it, so
+    monotone work survives process death), portfolio workers publish
+    their bounds with it, and the portfolio parent broadcasts the
+    global bracket back down with it, without a model.
 
     Soundness: the bracket was proved before it was published, so a
     retry may install it as {e external} bounds on a fresh guard; the
@@ -33,28 +35,22 @@ val install : t -> Guard.t -> unit
 (** Install the bracket as external bounds ({!Guard.install_bounds}) so
     the resumed algorithm prunes with it. *)
 
-val to_wire : t -> string
-(** One checksummed line (no trailing newline):
-    [ck <md5> <lb> <ub|-1> <bits|->]. *)
+val bracket : (int * int option) Msu_frame.Frame.codec
+(** An [(lb, ub)] bracket; reading refuses a negative lb and a crossed
+    bracket ([ub < lb]). *)
 
-val of_wire : string -> t option
-(** [None] on a torn or corrupted frame — the digest must match. *)
+val codec : t Msu_frame.Frame.codec
+val frame : t -> bytes
+
+val of_frame : Msu_frame.Frame.t -> t
+(** @raise Msu_frame.Frame.Malformed for another frame or a bad bracket. *)
 
 val writer : Unix.file_descr -> Guard.Progress.cell -> unit -> unit
-(** [writer fd cell] is a guard-ticker thunk that streams frames of
-    [cell] to [fd], one per change.  A frame is built only when the
+(** [writer fd cell] is a guard-ticker thunk that streams bracket frames
+    of [cell] to [fd], one per change.  A frame is built only when the
     bracket or the incumbent moved since the last one
-    ({!Guard.Progress.publisher}, the gate the portfolio's bound lines
-    also use); a tick that finds them unchanged costs a comparison.  An
-    empty cell writes nothing.  EPIPE stops the stream silently; an
-    armed {!Fault.Torn_checkpoint} makes it die mid-frame (after at
-    least one intact frame) to exercise the reader's tear tolerance. *)
-
-(** Parent-side accumulator: feed raw pipe bytes, keep the newest
-    intact frame, count torn/corrupt ones. *)
-type reader
-
-val reader : unit -> reader
-val feed : reader -> string -> unit
-val latest : reader -> t option
-val dropped : reader -> int
+    ({!Guard.Progress.publisher}); a tick that finds them unchanged
+    costs a comparison.  An empty cell writes nothing.  A write error
+    (EPIPE) stops the stream silently; an armed {!Fault.Torn_checkpoint}
+    makes it die mid-frame (after at least one intact frame) to exercise
+    the reader's torn-tail rule. *)

@@ -18,16 +18,14 @@ type kind =
   | Torn_checkpoint
       (** die mid-write of a checkpoint frame (after at least one intact
           frame): the parent must keep the previous checkpoint *)
-  | Torn_publish
-      (** portfolio worker dies right after writing a bound frame whose
-          trailing newline never made it out, leaving no report file —
-          only the parent's EOF residual flush can salvage the bound.
-          The frame is ["l 1"], so arm it only on instances whose
-          optimum is at least 1. *)
   | Kill_after_result
-      (** SIGKILL a forked worker right after its result file is
-          written: the result must still count, whatever the exit
-          status says *)
+      (** SIGKILL a forked worker right after it writes its result
+          frame: the result must still count, whatever the exit status
+          says *)
+
+val to_string : kind -> string
+val of_string : string -> kind option
+(** The names faults travel by in service requests and journals. *)
 
 val arm : kind -> unit
 val disarm : kind -> unit

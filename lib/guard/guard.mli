@@ -158,8 +158,8 @@ module Progress : sig
   (** The model achieving {!ub}, when one was published. *)
 
   val publisher : cell -> (lb:bool -> ub:bool -> unit) -> unit -> unit
-  (** [publisher cell send] is the change gate of every bound stream
-      (checkpoint frames, portfolio [l]/[u]/[m] lines).  Each call of the
+  (** [publisher cell send] is the change gate of the bound stream
+      ({!Checkpoint.writer}'s bracket frames).  Each call of the
       returned thunk calls [send ~lb ~ub] only when the cell moved since
       the last [send]: [lb] when the lower bound rose, [ub] when the
       upper bound fell (its model moves with it).  A call that finds the

@@ -2,6 +2,7 @@ module Maxsat = Msu_maxsat.Maxsat
 module Types = Msu_maxsat.Types
 module Guard = Msu_guard.Guard
 module Checkpoint = Msu_guard.Checkpoint
+module Frame = Msu_frame.Frame
 
 type abort_reason =
   | Timeout
@@ -83,17 +84,39 @@ let attempt ?resume ?checkpoint_fd ~timeout ~conflict_budget algorithm wcnf =
   in
   (outcome, time, Checkpoint.of_cell cell)
 
+(* An isolated attempt's result frame: the outcome as a label (an abort
+   by its reason's name) and a bracket, then the seconds. *)
+let attempt_codec =
+  let why = function
+    | "timeout" -> Timeout
+    | "conflicts" -> Out_of_conflicts
+    | "propagations" -> Out_of_propagations
+    | "memory" -> Out_of_memory
+    | s when String.starts_with ~prefix:"crash:" s -> Crash (String.sub s 6 (String.length s - 6))
+    | _ -> Frame.malformed "unknown run outcome"
+  in
+  Frame.map
+    (function
+      | Solved c, time -> (("solved", (c, Some c)), time)
+      | Unsat_hard, time -> (("hard-unsat", (0, None)), time)
+      | Aborted { why; lb; ub }, time -> ((abort_reason_to_string why, (lb, ub)), time))
+    (function
+      | ("solved", (c, _)), time -> (Solved c, time)
+      | ("hard-unsat", _), time -> (Unsat_hard, time)
+      | (label, (lb, ub)), time -> (Aborted { why = why label; lb; ub }, time))
+    Frame.(pair (pair string Checkpoint.bracket) float)
+
 (* Run the attempt in a forked worker.  Its checkpoint frames ride the
-   worker's up pipe; the newest intact one comes back with the result —
+   worker's up pipe; the newest whole one comes back with the result —
    the only progress that survives a SIGKILLed child. *)
 let isolated ?resume ~grace ~timeout ~conflict_budget algorithm wcnf =
-  let pool = Workers.create ~grace () in
-  let reader = Checkpoint.reader () in
+  let pool = Workers.create ~grace ~codec:attempt_codec () in
+  let latest = ref None in
   let result = ref (Error "worker not reaped") in
   ignore
     (Workers.spawn pool
        ~deadline:(Unix.gettimeofday () +. timeout)
-       ~on_line:(fun line -> Checkpoint.feed reader (line ^ "\n"))
+       ~on_frame:(fun f -> latest := Some (Checkpoint.of_frame f))
        ~on_exit:(fun e -> result := e.Workers.result)
        (fun ~up ~down:_ ->
          let outcome, time, _ =
@@ -106,7 +129,7 @@ let isolated ?resume ~grace ~timeout ~conflict_budget algorithm wcnf =
     | Ok r -> r
     | Error reason -> (Aborted { why = Crash reason; lb = 0; ub = None }, timeout)
   in
-  (res, Checkpoint.latest reader)
+  (res, !latest)
 
 (* Fold a checkpointed bracket into an aborted outcome; collapse to
    [Solved] only when the lower bound meets an upper bound backed by a

@@ -65,15 +65,15 @@ val run_one :
   string * string * Msu_cnf.Wcnf.t ->
   run
 (** [run_one ~timeout alg (name, family, wcnf)].  With [isolate] the
-    solve runs in a forked {!Workers} worker: the result comes back
-    through a temp file, checkpoint frames stream up the worker's pipe,
-    the child carries a SIGALRM backstop, and [grace] seconds (default
+    solve runs in a forked {!Workers} worker: checkpoint frames stream
+    up the worker's pipe and its result frame comes last, the child
+    carries a SIGALRM backstop, and [grace] seconds (default
     1.0) past the timeout the parent starts the cancellation ladder —
     SIGTERM (tripping the child's guard, which flushes the partial
     lb/ub it computed), then SIGKILL after a short flush window — so an
     infinite loop or C-level crash costs one run, never the suite, and
-    a timed-out run still reports its bounds.  A result written whole
-    counts even if the worker is killed afterwards.  [retry] (default
+    a timed-out run still reports its bounds.  A result frame written
+    whole counts even if the worker is killed afterwards.  [retry] (default
     {!no_retry}) re-runs crashed attempts. *)
 
 val run_suite :

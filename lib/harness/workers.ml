@@ -1,25 +1,12 @@
 module Obs = Msu_obs.Obs
 module Guard = Msu_guard.Guard
 module Fault = Msu_guard.Fault
-
-(* ---------------- line framing ---------------- *)
-
-(* Complete lines accumulated in [buf]; the trailing partial line (if
-   any) stays buffered. *)
-let take_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some i ->
-      Buffer.clear buf;
-      Buffer.add_substring buf s (i + 1) (String.length s - i - 1);
-      String.split_on_char '\n' (String.sub s 0 i)
-      |> List.filter (fun l -> l <> "")
+module Frame = Msu_frame.Frame
 
 (* Per-peer output buffer for a nonblocking pipe: a short write or
    EAGAIN keeps the unsent tail queued, and the next [flush] (on the
    select loop's writable round) resumes exactly where the kernel
-   stopped — a line is never torn mid-way or silently dropped. *)
+   stopped — a frame is never torn mid-way or silently dropped. *)
 module Outbuf = struct
   type t = { mutable data : Bytes.t; mutable pos : int; mutable len : int }
 
@@ -33,9 +20,9 @@ module Outbuf = struct
       t.pos <- 0
     end
 
-  let queue t line =
+  let queue t frame =
     compact t;
-    let n = String.length line + 1 in
+    let n = Bytes.length frame in
     if t.len + n > Bytes.length t.data then begin
       let cap = ref (max 256 (Bytes.length t.data)) in
       while t.len + n > !cap do
@@ -45,8 +32,7 @@ module Outbuf = struct
       Bytes.blit t.data 0 d 0 t.len;
       t.data <- d
     end;
-    Bytes.blit_string line 0 t.data t.len (n - 1);
-    Bytes.set t.data (t.len + n - 1) '\n';
+    Bytes.blit frame 0 t.data t.len n;
     t.len <- t.len + n
 
   let flush t fd =
@@ -66,10 +52,10 @@ module Outbuf = struct
     done
 end
 
-let write_line fd s =
-  let line = s ^ "\n" in
-  try ignore (Unix.write_substring fd line 0 (String.length line))
-  with Unix.Unix_error _ -> ()
+let write_frame fd frame = try Frame.write fd frame with Unix.Unix_error _ -> ()
+
+let event_sink fd =
+  Obs.of_fn (fun e -> write_frame fd (Frame.encode Frame.Event Frame.string (Obs.Event.to_json e)))
 
 (* ---------------- pool ---------------- *)
 
@@ -118,9 +104,10 @@ type 'a worker = {
   id : int;
   up : Unix.file_descr;  (* read end *)
   down : (Unix.file_descr * Outbuf.t) option;  (* write end, nonblocking *)
-  buf : Buffer.t;  (* up-pipe bytes past the last newline *)
-  tmp : string;  (* result file *)
-  on_line : string -> unit;
+  reader : Frame.reader;  (* up-pipe bytes past the last whole frame *)
+  mutable result : ('a, string) result option;  (* the result frame, once whole *)
+  on_frame : Frame.t -> unit;
+  events : Obs.sink;
   on_exit : 'a exit -> unit;
   flush : float;
   mutable term_at : float;  (* SIGTERM rung; SIGKILL follows [flush] later *)
@@ -132,12 +119,12 @@ type 'a worker = {
 type 'a t = {
   sink : Obs.sink;
   grace : float;
+  result_codec : ('a, string) result Frame.codec;
   mutable live : 'a worker list;  (* spawn order *)
-  chunk : Bytes.t;
 }
 
-let create ?(sink = Obs.null) ~grace () =
-  { sink; grace; live = []; chunk = Bytes.create 65536 }
+let create ?(sink = Obs.null) ~grace ~codec () =
+  { sink; grace; result_codec = Frame.result codec Frame.string; live = [] }
 
 (* Parent-side pipe ends of every live worker of every pool: a child
    closes them all, so no worker holds another worker's pipe. *)
@@ -152,25 +139,11 @@ let descriptors w =
   if w.reaped then []
   else w.up :: (match w.down with Some (fd, _) -> [ fd ] | None -> [])
 
-let write_result tmp result =
-  try
-    let oc = open_out_bin tmp in
-    Marshal.to_channel oc result [];
-    close_out oc
-  with _ -> ()
-
-let read_result tmp =
-  try
-    let ic = open_in_bin tmp in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (Marshal.from_channel ic))
-  with _ -> None
-
 (* Child side.  Nothing may escape: an exception unwinding past this
    frame would run the caller's continuation (its whole program) a
-   second time in the child. *)
-let run_child ~close ~ignore_sigint ~alarm_after ~mask ~tmp f =
+   second time in the child.  The result is the last frame on the up
+   pipe. *)
+let run_child t ~close ~ignore_sigint ~alarm_after ~mask ~up f =
   try
     Obs.after_fork ();
     List.iter close_quietly (close @ !held);
@@ -188,14 +161,13 @@ let run_child ~close ~ignore_sigint ~alarm_after ~mask ~tmp f =
        soon as the solve registers it. *)
     ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
     let result = try Ok (f ()) with e -> Error (Printexc.to_string e) in
-    write_result tmp result;
+    write_frame up (Frame.encode Frame.Result t.result_codec result);
     if Fault.consume Fault.Kill_after_result then kill (Unix.getpid ()) Sys.sigkill;
     Unix._exit (match result with Ok _ -> 0 | Error _ -> 2)
   with _ -> Unix._exit 2
 
 let spawn t ?(id = 0) ?(close = []) ?(ignore_sigint = false) ?(down = false)
-    ~deadline ~on_line ~on_exit f =
-  let tmp = Filename.temp_file "msu-worker" ".bin" in
+    ?(events = Obs.null) ~deadline ~on_frame ~on_exit f =
   let up_rd, up_wr = Unix.pipe () in
   let down_pipe = if down then Some (Unix.pipe ()) else None in
   let flush = flush_grace t.grace in
@@ -208,7 +180,7 @@ let spawn t ?(id = 0) ?(close = []) ?(ignore_sigint = false) ?(down = false)
   | 0 ->
       close_quietly up_rd;
       Option.iter (fun (_, wr) -> close_quietly wr) down_pipe;
-      run_child ~close ~ignore_sigint ~alarm_after ~mask ~tmp (fun () ->
+      run_child t ~close ~ignore_sigint ~alarm_after ~mask ~up:up_wr (fun () ->
           f ~up:up_wr ~down:(Option.map fst down_pipe))
   | pid ->
       ignore (Unix.sigprocmask Unix.SIG_SETMASK mask);
@@ -228,9 +200,10 @@ let spawn t ?(id = 0) ?(close = []) ?(ignore_sigint = false) ?(down = false)
           id;
           up = up_rd;
           down;
-          buf = Buffer.create 256;
-          tmp;
-          on_line;
+          reader = Frame.reader ();
+          result = None;
+          on_frame;
+          events;
           on_exit;
           flush;
           term_at = deadline +. t.grace;
@@ -248,13 +221,12 @@ let spawn t ?(id = 0) ?(close = []) ?(ignore_sigint = false) ?(down = false)
       List.iter close_quietly
         (up_rd :: up_wr
         :: (match down_pipe with Some (rd, wr) -> [ rd; wr ] | None -> []));
-      (try Sys.remove tmp with Sys_error _ -> ());
       raise e
 
-let send w line =
+let send w frame =
   match w.down with
   | Some (fd, out) when not w.reaped ->
-      Outbuf.queue out line;
+      Outbuf.queue out frame;
       Outbuf.flush out fd
   | _ -> ()
 
@@ -292,13 +264,9 @@ let rec waitpid_block pid =
   | exception Unix.Unix_error _ -> Unix.WEXITED 255
 
 (* EOF on the up pipe: the child closed it by exiting, so the blocking
-   waitpid returns at once.  The tail without a newline is a frame torn
-   by the death; it still goes to the caller's parser, which validates
-   it like any other line. *)
+   waitpid returns at once.  Bytes past the last whole frame are a
+   frame torn by the death and are dropped. *)
 let reap t w =
-  let tail = Buffer.contents w.buf in
-  Buffer.clear w.buf;
-  if tail <> "" then w.on_line tail;
   let fds = descriptors w in
   w.reaped <- true;
   t.live <- List.filter (fun w' -> w' != w) t.live;
@@ -310,7 +278,7 @@ let reap t w =
   Obs.emit t.sink ~id:w.id
     (Obs.Event.Worker_exit { pid = w.pid; status = exit_code status; signaled });
   let result =
-    match read_result w.tmp with
+    match w.result with
     | Some r -> r
     | None -> (
         match status with
@@ -319,18 +287,27 @@ let reap t w =
         | Unix.WSIGNALED n | Unix.WSTOPPED n ->
             Error (Printf.sprintf "worker killed (signal %d)" (posix_signal n)))
   in
-  (try Sys.remove w.tmp with Sys_error _ -> ());
   w.on_exit { status; result; termed = w.termed }
 
-let rec drain t w =
-  match Unix.read w.up t.chunk 0 (Bytes.length t.chunk) with
-  | 0 -> reap t w
-  | n ->
-      Buffer.add_subbytes w.buf t.chunk 0 n;
-      List.iter w.on_line (take_lines w.buf);
-      drain t w
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  | exception Unix.Unix_error _ -> reap t w
+(* Results and events are the pool's own frames; the rest go to the
+   caller.  A frame the stream carried whole but whose payload does not
+   decode is dropped. *)
+let deliver t w (f : Frame.t) =
+  try
+    match f.Frame.tag with
+    | Frame.Result -> w.result <- Some (Frame.decode Frame.Result t.result_codec f)
+    | Frame.Event ->
+        Option.iter (Obs.feed w.events)
+          (Obs.Event.of_json (Frame.decode Frame.Event Frame.string f))
+    | _ -> w.on_frame f
+  with Frame.Malformed _ -> ()
+
+(* A bad frame leaves the reader dropping the rest of the pipe, which
+   is still read to EOF so the child never blocks. *)
+let drain t w =
+  match Frame.drain w.reader w.up (deliver t w) with
+  | true | (exception (Frame.Malformed _ | Frame.Version_mismatch _)) -> ()
+  | false | (exception Unix.Unix_error _) -> reap t w
 
 let poll t ?(read = []) ~timeout () =
   let live = t.live in

@@ -16,49 +16,45 @@
        SIGTERM that arrives while the child sets up trips its guard as
        soon as the guard is registered, and the parent's own handlers
        never run in the child.  The thunk's value (or the text of the
-       exception it raised) is marshalled to a result file, and the
+       exception it raised) is the last frame up its pipe, and the
        child leaves with [_exit].}
-    {- {b Parent side.}  Each worker has one {e up} pipe, which the
-       child writes newline-terminated lines to, and optionally a
-       {e down} pipe that the parent writes lines to through a
-       nonblocking {!Outbuf}.  One [select] ({!poll}) drains every
-       worker's complete lines and watches the caller's own
-       descriptors.  Each worker has its own cancellation ladder:
+    {- {b Parent side.}  Each worker has one {e up} pipe of
+       {!Msu_frame.Frame}s and optionally a {e down} pipe that the
+       parent writes frames to through a nonblocking {!Outbuf}.  One
+       [select] ({!poll}) drains every worker's whole frames (nothing
+       after a bad frame of a pipe is trusted) and watches the caller's
+       own descriptors.  Each worker has its own cancellation ladder:
        SIGTERM at [deadline + grace] (or at {!cancel}), then SIGKILL
        after a flush window of [max 0.25 (grace / 2)] seconds.}
-    {- {b One reap.}  A pipe at EOF means the child is exiting: its
-       newline-less tail (a frame torn by the death) goes to the
-       caller's line handler like any other line, the child is reaped
-       with a blocking [waitpid], [Worker_spawn]/[Worker_exit] events
-       and the [msu_worker_exit_total_{normal,signaled}] counters are
-       emitted, and a result file that reads back whole is the result,
-       whatever the exit status.}}
+    {- {b One reap.}  A pipe at EOF means the child is exiting: a
+       frame torn by its death is dropped, the child is reaped with a
+       blocking [waitpid], [Worker_spawn]/[Worker_exit] events and the
+       [msu_worker_exit_total_{normal,signaled}] counters are emitted,
+       and a result frame that arrived whole is the result, whatever
+       the exit status.  Pipes are drained to EOF before the reap, so a
+       result past the kernel's pipe buffer only waits for a drain.}} *)
 
-    Results travel through a temp file rather than the pipe, so a large
-    result can never deadlock against a full pipe buffer. *)
-
-val take_lines : Buffer.t -> string list
-(** Complete lines accumulated in the buffer; the trailing partial line
-    (if any) stays buffered for the next read.  Empty lines are
-    dropped. *)
-
-(** Output buffering for a nonblocking pipe: [queue] appends a line,
-    [flush] writes as much as the kernel accepts and keeps the rest for
-    the next round — short writes and [EAGAIN] never tear or drop a
-    line; a dead reader ([EPIPE]) drops the backlog. *)
+(** Output buffering for a nonblocking pipe: [queue] appends an encoded
+    frame, [flush] writes as much as the kernel accepts and keeps the
+    rest for the next round — short writes and [EAGAIN] never tear or
+    drop a frame; a dead reader ([EPIPE]) drops the backlog. *)
 module Outbuf : sig
   type t
 
   val create : unit -> t
-  val queue : t -> string -> unit
+  val queue : t -> bytes -> unit
   val flush : t -> Unix.file_descr -> unit
   val pending : t -> bool
 end
 
-val write_line : Unix.file_descr -> string -> unit
-(** Child side: write one line (a newline is appended) with a single
-    blocking write; errors are ignored, so a dead parent costs the
-    child its stream, not its solve. *)
+val write_frame : Unix.file_descr -> bytes -> unit
+(** Child side: write one encoded frame; errors are ignored, so a dead
+    parent costs the child its stream, not its solve. *)
+
+val event_sink : Unix.file_descr -> Msu_obs.Obs.sink
+(** Child side: a sink that sends each event up the pipe as one
+    {!Msu_frame.Frame.Event} frame; the parent feeds it to the [events]
+    sink the worker was spawned with. *)
 
 val posix_signal : int -> int
 (** The system's number for an OCaml signal number: OCaml's constants
@@ -77,16 +73,17 @@ type 'a worker
 type 'a exit = {
   status : Unix.process_status;
   result : ('a, string) result;
-      (** the result file when it read back whole, whatever [status];
-          otherwise [Error] naming the exception the thunk raised or
-          how the worker died *)
+      (** the result frame when it arrived whole, whatever [status];
+          otherwise [Error] naming how the worker died *)
   termed : bool;  (** the ladder (or {!cancel}) sent SIGTERM *)
 }
 
-val create : ?sink:Msu_obs.Obs.sink -> grace:float -> unit -> 'a t
+val create :
+  ?sink:Msu_obs.Obs.sink -> grace:float -> codec:'a Msu_frame.Frame.codec -> unit -> 'a t
 (** [grace] pads every worker's ladder: SIGTERM fires [grace] seconds
-    past its deadline.  [sink] receives the [Worker_spawn] and
-    [Worker_exit] events, stamped with each worker's [id]. *)
+    past its deadline.  [codec] carries the thunks' values in the
+    result frame.  [sink] receives the [Worker_spawn] and [Worker_exit]
+    events, stamped with each worker's [id]. *)
 
 val spawn :
   'a t ->
@@ -94,8 +91,9 @@ val spawn :
   ?close:Unix.file_descr list ->
   ?ignore_sigint:bool ->
   ?down:bool ->
+  ?events:Msu_obs.Obs.sink ->
   deadline:float ->
-  on_line:(string -> unit) ->
+  on_frame:(Msu_frame.Frame.t -> unit) ->
   on_exit:('a exit -> unit) ->
   (up:Unix.file_descr -> down:Unix.file_descr option -> 'a) ->
   'a worker
@@ -107,11 +105,14 @@ val spawn :
     [deadline] is the worker's absolute wall-clock budget ([infinity]
     for none): the ladder starts [grace] seconds after it, and the
     child's SIGALRM backstop fires after the ladder would have
-    finished.  {!poll} passes each complete up-pipe line to [on_line]
-    and the reaped worker's {!exit} to [on_exit]. *)
+    finished.  {!poll} feeds the worker's event frames to [events]
+    (default {!Msu_obs.Obs.null}), passes every other whole up-pipe
+    frame but the result to [on_frame], and the reaped worker's {!exit}
+    to [on_exit].  A frame whose payload does not decode
+    ([on_frame] raising {!Msu_frame.Frame.Malformed}) is dropped. *)
 
-val send : 'a worker -> string -> unit
-(** Queue a line on the worker's down pipe and flush what the kernel
+val send : 'a worker -> bytes -> unit
+(** Queue an encoded frame on the worker's down pipe and flush what the kernel
     accepts; the rest goes out on later {!poll} rounds.  A no-op for a
     worker without a down pipe or already reaped. *)
 
@@ -125,7 +126,7 @@ val poll :
 (** One round: wait up to [timeout] seconds (less when a ladder rung is
     due sooner) for any worker's up pipe, any down pipe with queued
     output, or one of the caller's [read] descriptors.  Then deliver
-    complete lines, reap workers whose pipe reached EOF, and fire the
+    whole frames, reap workers whose pipe reached EOF, and fire the
     ladder rungs that are due.  Returns the caller's descriptors that
     are readable. *)
 

@@ -86,96 +86,6 @@ module Event = struct
 
   let to_string ev = Printf.sprintf "[%d] %s" ev.id (kind_to_string ev.kind)
 
-  (* Compact space-separated form for the portfolio/service pipes:
-     "<id> <t> <tag> [args…]".  A [Note] payload runs to end of line
-     (embedded newlines are flattened so one event stays one line). *)
-  let flatten s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-  let to_wire ev =
-    let payload =
-      match ev.kind with
-      | Sat_call -> "sat_call"
-      | Core { size; fresh_blocking } ->
-          Printf.sprintf "core %d %d" size fresh_blocking
-      | Lb n -> Printf.sprintf "lb %d" n
-      | Ub n -> Printf.sprintf "ub %d" n
-      | Card_constraint { arity; bound } -> Printf.sprintf "card %d %d" arity bound
-      | Restart -> "restart"
-      | Reduce_db { kept } -> Printf.sprintf "reduce_db %d" kept
-      | Cache_hit -> "cache_hit"
-      | Cache_miss -> "cache_miss"
-      | Queue_enqueue { depth } -> Printf.sprintf "enqueue %d" depth
-      | Queue_dequeue { depth } -> Printf.sprintf "dequeue %d" depth
-      | Worker_spawn { pid } -> Printf.sprintf "worker_spawn %d" pid
-      | Worker_exit { pid; status; signaled } ->
-          Printf.sprintf "worker_exit %d %d %d" pid status (Bool.to_int signaled)
-      | Clause_shared { lbd; size } -> Printf.sprintf "clause_shared %d %d" lbd size
-      | Incumbent { cost } -> Printf.sprintf "incumbent %d" cost
-      (* Phases are single tokens by construction; spaces are flattened
-         so a span frame always parses back field-for-field. *)
-      | Span_begin { trace; span; parent; phase } ->
-          Printf.sprintf "span_b %d %d %d %s" trace span parent
-            (String.map (function ' ' -> '_' | c -> c) phase)
-      | Span_end { trace; span; parent; phase; elapsed; c1; c2 } ->
-          Printf.sprintf "span_e %d %d %d %.6f %d %d %s" trace span parent elapsed c1
-            c2
-            (String.map (function ' ' -> '_' | c -> c) phase)
-      | Note s -> "note " ^ flatten s
-    in
-    Printf.sprintf "%d %.6f %s" ev.id ev.at payload
-
-  let kind_of_wire tag args =
-    let int1 () = Scanf.sscanf args " %d" (fun a -> a) in
-    let int2 k = Scanf.sscanf args " %d %d" k in
-    match tag with
-    | "sat_call" -> Some Sat_call
-    | "core" -> Some (int2 (fun size fresh_blocking -> Core { size; fresh_blocking }))
-    | "lb" -> Some (Lb (int1 ()))
-    | "ub" -> Some (Ub (int1 ()))
-    | "card" -> Some (int2 (fun arity bound -> Card_constraint { arity; bound }))
-    | "restart" -> Some Restart
-    | "reduce_db" -> Some (Reduce_db { kept = int1 () })
-    | "cache_hit" -> Some Cache_hit
-    | "cache_miss" -> Some Cache_miss
-    | "enqueue" -> Some (Queue_enqueue { depth = int1 () })
-    | "dequeue" -> Some (Queue_dequeue { depth = int1 () })
-    | "worker_spawn" -> Some (Worker_spawn { pid = int1 () })
-    | "worker_exit" ->
-        Some
-          (Scanf.sscanf args " %d %d %d" (fun pid status sg ->
-               Worker_exit { pid; status; signaled = sg <> 0 }))
-    | "clause_shared" -> Some (int2 (fun lbd size -> Clause_shared { lbd; size }))
-    | "incumbent" -> Some (Incumbent { cost = int1 () })
-    | "span_b" ->
-        Some
-          (Scanf.sscanf args " %d %d %d %s" (fun trace span parent phase ->
-               Span_begin { trace; span; parent; phase }))
-    | "span_e" ->
-        Some
-          (Scanf.sscanf args " %d %d %d %f %d %d %s"
-             (fun trace span parent elapsed c1 c2 phase ->
-               Span_end { trace; span; parent; phase; elapsed; c1; c2 }))
-    | "note" -> Some (Note args)
-    | _ -> None
-
-  let of_wire line =
-    try
-      let sp1 = String.index line ' ' in
-      let sp2 = String.index_from line (sp1 + 1) ' ' in
-      let id = int_of_string (String.sub line 0 sp1) in
-      let at = float_of_string (String.sub line (sp1 + 1) (sp2 - sp1 - 1)) in
-      let rest = String.sub line (sp2 + 1) (String.length line - sp2 - 1) in
-      let tag, args =
-        match String.index_opt rest ' ' with
-        | None -> (rest, "")
-        | Some i ->
-            (String.sub rest 0 i, String.sub rest (i + 1) (String.length rest - i - 1))
-      in
-      match kind_of_wire tag args with
-      | Some kind -> Some { id; at; kind }
-      | None -> None
-    with _ -> None
-
   (* JSONL schema (one object per line, flat):
        {"id":0,"t":1723.456789,"ev":"core","size":5,"fresh":2}
      Every event carries "id" (solve/request id), "t" (monotonic
@@ -280,7 +190,10 @@ module Event = struct
            | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
            | _ -> false)
       do incr pos done;
-      if !pos = start then None else float_of_string_opt (String.sub line start (!pos - start))
+      (* Kept as text: ids and span numbers use up to 60 bits, more
+         than a float holds exactly. *)
+      let tok = String.sub line start (!pos - start) in
+      if !pos = start || float_of_string_opt tok = None then None else Some tok
     in
     let fields = Hashtbl.create 8 in
     let strings = Hashtbl.create 4 in
@@ -320,14 +233,11 @@ module Event = struct
     in
     if not ok then None
     else
-      let int_field k =
-        match Hashtbl.find_opt fields k with
-        | Some v -> Some (int_of_float v)
-        | None -> None
-      in
       let ( let* ) = Option.bind in
+      let float_field k = Option.bind (Hashtbl.find_opt fields k) float_of_string_opt in
+      let int_field k = Option.bind (Hashtbl.find_opt fields k) int_of_string_opt in
       let* id = int_field "id" in
-      let* at = Hashtbl.find_opt fields "t" in
+      let* at = float_field "t" in
       let* tag = Hashtbl.find_opt strings "ev" in
       let* kind =
         match tag with
@@ -383,7 +293,7 @@ module Event = struct
             let* trace = int_field "trace" in
             let* span = int_field "span" in
             let* parent = int_field "parent" in
-            let* elapsed = Hashtbl.find_opt fields "elapsed" in
+            let* elapsed = float_field "elapsed" in
             let* c1 = int_field "c1" in
             let* c2 = int_field "c2" in
             let* phase = Hashtbl.find_opt strings "phase" in
@@ -414,39 +324,8 @@ let tee a b =
   | Null, s | s, Null -> s
   | Emit f, Emit g -> Emit (fun ev -> f ev; g ev)
 
-(* Lock-free bounded ring: a fetch-and-add claims a slot, the slot write
-   is a single atomic store.  Overwrites the oldest events once full;
-   [total] keeps counting so overflow is detectable. *)
-module Ring = struct
-  type t = { cells : Event.t option Atomic.t array; head : int Atomic.t }
-
-  let create capacity =
-    if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-    { cells = Array.init capacity (fun _ -> Atomic.make None); head = Atomic.make 0 }
-
-  let capacity r = Array.length r.cells
-  let total r = Atomic.get r.head
-
-  let push r ev =
-    let i = Atomic.fetch_and_add r.head 1 in
-    Atomic.set r.cells.(i mod Array.length r.cells) (Some ev)
-
-  let length r = min (total r) (capacity r)
-
-  let contents r =
-    let cap = capacity r in
-    let n = total r in
-    let len = min n cap in
-    let start = n - len in
-    List.filter_map
-      (fun k -> Atomic.get r.cells.((start + k) mod cap))
-      (List.init len Fun.id)
-
-  let sink r = Emit (push r)
-end
-
-(* Unbounded in-order collector for tests and bench, where losing events
-   to ring wraparound would break the event-vs-stats oracle. *)
+(* Unbounded in-order collector for tests and bench, where the
+   event-vs-stats oracle needs every event. *)
 module Collector = struct
   type t = { mutable rev : Event.t list; mutable n : int }
 
@@ -617,18 +496,6 @@ module Metrics = struct
 
   let names registry = List.rev registry.order
 
-  let reset registry =
-    Hashtbl.iter
-      (fun _ m ->
-        match m.value with
-        | Counter r -> r := 0
-        | Gauge r -> r := 0.0
-        | Histogram h ->
-            Array.fill h.counts 0 (Array.length h.counts) 0;
-            h.sum <- 0.0;
-            h.count <- 0)
-      registry.tbl
-
   let float_str v =
     if Float.is_integer v && Float.abs v < 1e15 then
       Printf.sprintf "%.0f" v
@@ -685,7 +552,9 @@ module Metrics = struct
         let m = Hashtbl.find registry.tbl name in
         let pname = prom_name name in
         if m.help <> "" then
-          Buffer.add_string b (Printf.sprintf "# HELP %s %s\n" pname (Event.flatten m.help));
+          Buffer.add_string b
+            (Printf.sprintf "# HELP %s %s\n" pname
+               (String.map (function '\n' | '\r' -> ' ' | c -> c) m.help));
         match m.value with
         | Counter r ->
             Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" pname pname !r)

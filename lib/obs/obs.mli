@@ -3,8 +3,8 @@
 
     The observability layer sits at the bottom of the stack (it depends
     only on [Unix]).  Algorithms and services emit {!Event.t} values
-    into a {!sink}; sinks include a lock-free {!Ring} buffer, an
-    unbounded {!Collector} (tests/bench), and a {!Jsonl} writer.  Events
+    into a {!sink}; sinks include an unbounded {!Collector}
+    (tests/bench) and a {!Jsonl} writer.  Events
     carry a monotonic timestamp and a solve/request id, so per-worker
     streams can be multiplexed over one pipe and demultiplexed into
     per-solve {!Timeline}s.  {!Metrics} is a process-wide registry of
@@ -76,14 +76,10 @@ module Event : sig
   val to_string : t -> string
   (** Human-readable one-liner, used by the [msolve -v] compat shim. *)
 
-  val to_wire : t -> string
-  (** Compact single-line form for the portfolio/service pipes. *)
-
-  val of_wire : string -> t option
-
   val to_json : t -> string
   (** Flat single-line JSON object; the JSONL trace schema (documented
-      in DESIGN.md §12). *)
+      in DESIGN.md §12), and the payload of an event frame on a worker's
+      pipe. *)
 
   val of_json : string -> t option
 end
@@ -106,31 +102,8 @@ val note : sink -> id:int -> (unit -> string) -> unit
 
 val tee : sink -> sink -> sink
 
-(** Lock-free bounded ring buffer: concurrent pushes claim slots with a
-    fetch-and-add; once full, the oldest events are overwritten. *)
-module Ring : sig
-  type t
-
-  val create : int -> t
-  (** @raise Invalid_argument when capacity < 1. *)
-
-  val push : t -> Event.t -> unit
-  val sink : t -> sink
-  val capacity : t -> int
-
-  val total : t -> int
-  (** Events ever pushed; [total > capacity] means wraparound dropped
-      [total - capacity] of them. *)
-
-  val length : t -> int
-  (** Events currently retained ([min total capacity]). *)
-
-  val contents : t -> Event.t list
-  (** Retained events, oldest first. *)
-end
-
-(** Unbounded in-order event collector, for tests and bench where ring
-    wraparound would break the event-vs-stats consistency oracle. *)
+(** Unbounded in-order event collector, for tests and bench where the
+    event-vs-stats consistency oracle needs every event. *)
 module Collector : sig
   type t
 
@@ -218,9 +191,6 @@ module Metrics : sig
 
   val names : registry -> string list
   (** Registration order — stable across exports. *)
-
-  val reset : registry -> unit
-  (** Zero every metric (tests). *)
 
   val to_json : registry -> string
 

@@ -1,5 +1,7 @@
 module G = Msu_guard.Guard
+module Ck = Msu_guard.Checkpoint
 module Fault = Msu_guard.Fault
+module Frame = Msu_frame.Frame
 module Obs = Msu_obs.Obs
 module T = Msu_maxsat.Types
 module M = Msu_maxsat.Maxsat
@@ -77,125 +79,35 @@ type result = {
   elapsed : float;
 }
 
-(* ---------------- wire protocol ----------------
+(* ---------------- frames ----------------
 
-   Worker -> parent (up pipe):  "l <n>"  improved lower bound
-                                "u <n>"  improved upper bound
-                                "m <cost> <bits>"  improved incumbent
-                                             model ('0'/'1' per var); the
-                                             parent re-costs it before
-                                             trusting it
-                                "c <lbd> <lits>"  share-safe learnt
-                                             clause (packed literals)
-                                "e <event>"  observability event
-                                             (Obs.Event.to_wire form)
-   Parent -> worker (down pipe): "b <lb> <ub>"  best global bounds
-                                 (<ub> = -1 when none known yet), and
-                                 rebroadcast "c" frames from peers.
-   Line-oriented; partial reads are buffered until the newline.  All
-   frames are validated on receipt — junk tokens, torn frames, negative
-   or crossed bounds are dropped, never installed. *)
+   Worker -> parent (up pipe): Bracket frames from {!Ck.writer} (lb,
+   ub and the incumbent model behind ub, which the parent re-costs
+   before trusting it), Clause frames (share-safe learnt clauses as
+   packed literals), Event frames, and the Result frame last.
+   Parent -> worker (down pipe): Bracket frames with the global bracket
+   and no model, and the Clause frames of its peers.
+   Every frame is checked on receipt: a payload that does not decode, a
+   negative or crossed bracket, or a clause past the instance is
+   dropped, never installed. *)
 
-module Wire = struct
-  let bounds_line ~lb ~ub =
-    Printf.sprintf "b %d %d" lb (match ub with None -> -1 | Some u -> u)
+(* The exporter caps a clause at 8 literals, so anything much longer is
+   junk. *)
+let max_clause_lits = 64
 
-  (* "b <lb> <ub>": [ub < 0] encodes "none known yet" and must never be
-     installed as a real upper bound; a crossed bracket ([lb > ub]) is a
-     corrupt frame, not a bound. *)
-  let parse_bounds line =
-    match String.split_on_char ' ' line with
-    | [ "b"; lb; ub ] -> (
-        match (int_of_string_opt lb, int_of_string_opt ub) with
-        | Some lb, Some ub when lb >= 0 ->
-            let ub = if ub < 0 then None else Some ub in
-            (match ub with
-            | Some u when lb > u -> None
-            | _ -> Some (lb, ub))
-        | _ -> None)
-    | _ -> None
+let clause_codec =
+  Frame.map Fun.id
+    (fun (lbd, lits) ->
+      let n = Array.length lits in
+      if n < 1 || n > max_clause_lits then Frame.malformed "clause length" else (lbd, lits))
+    Frame.(pair nat (array nat))
 
-  let clause_line ~lbd lits =
-    let b = Buffer.create 64 in
-    Buffer.add_string b "c ";
-    Buffer.add_string b (string_of_int lbd);
-    Array.iter
-      (fun l ->
-        Buffer.add_char b ' ';
-        Buffer.add_string b (string_of_int l))
-      lits;
-    Buffer.contents b
-
-  (* "c <lbd> <packed-lits…>": packed literals are nonnegative ints; the
-     exporter caps length at 8, so anything much longer is junk. *)
-  let max_clause_lits = 64
-
-  let parse_clause line =
-    match String.split_on_char ' ' line with
-    | "c" :: lbd :: (_ :: _ as lits) when List.length lits <= max_clause_lits -> (
-        match int_of_string_opt lbd with
-        | Some lbd when lbd >= 0 -> (
-            let ok = ref true in
-            let arr =
-              Array.of_list
-                (List.map
-                   (fun t ->
-                     match int_of_string_opt t with
-                     | Some l when l >= 0 -> l
-                     | _ ->
-                         ok := false;
-                         0)
-                   lits)
-            in
-            match !ok with true -> Some (lbd, arr) | false -> None)
-        | _ -> None)
-    | _ -> None
-
-  let model_line ~cost m =
-    Printf.sprintf "m %d %s" cost
-      (String.init (Array.length m) (fun i -> if m.(i) then '1' else '0'))
-
-  let parse_model line =
-    match String.split_on_char ' ' line with
-    | [ "m"; cost; bits ] -> (
-        match int_of_string_opt cost with
-        | Some c when c >= 0 && bits <> "" ->
-            let ok = ref true in
-            let m =
-              Array.init (String.length bits) (fun i ->
-                  match bits.[i] with
-                  | '1' -> true
-                  | '0' -> false
-                  | _ ->
-                      ok := false;
-                      false)
-            in
-            if !ok then Some (c, m) else None
-        | _ -> None)
-    | _ -> None
-
-  (* Dedup key: the clause as a set of literals.  Sorted packed ints, so
-     permutations of the same clause collide. *)
-  let digest lits =
-    let s = Array.copy lits in
-    Array.sort compare s;
-    String.concat "," (Array.to_list (Array.map string_of_int s))
-
-  let publisher write cell =
-    G.Progress.publisher cell (fun ~lb ~ub ->
-        if lb then write ("l " ^ string_of_int (G.Progress.lb cell));
-        match G.Progress.ub cell with
-        | Some u when ub ->
-            write ("u " ^ string_of_int u);
-            (* Stream the incumbent itself alongside the bound: the
-               parent re-costs it, so a model-backed ub survives even a
-               SIGKILL and can close a cross-worker gap the bare "u"
-               frame cannot. *)
-            (match G.Progress.model cell with
-            | Some m -> write (model_line ~cost:u m)
-            | None -> ())
-        | _ -> ())
-end
+(* Dedup key: the clause as a set of literals.  Sorted packed ints, so
+   permutations of the same clause collide. *)
+let clause_key lits =
+  let s = Array.copy lits in
+  Array.sort compare s;
+  String.concat "," (Array.to_list (Array.map string_of_int s))
 
 (* Parent-side sharing metrics (the workers are forked, so their
    process-local registries never reach this process). *)
@@ -218,58 +130,42 @@ let m_incumbents =
 (* ---------------- worker (child process) ---------------- *)
 
 (* Runs in the forked worker ({!Workers.spawn} owns the process set-up,
-   the result file and the exit). *)
+   the result frame and the exit). *)
 let run_worker ~deadline ~max_conflicts ~down ~up ~index ~observe ~share
     ~seed_ub ~trace_ctx sp w =
   (match sp.fault with Some k -> Fault.arm k | None -> ());
-  (* Kill-mid-flush harness: the frame's trailing newline never leaves
-     the worker and no report file is written, so the bound survives
-     only if the parent's EOF residual flush parses the torn line. *)
-  if Fault.consume Fault.Torn_publish then begin
-    ignore (Unix.write_substring up "l 1" 0 3);
-    Unix._exit 2
-  end;
   Unix.set_nonblock down;
   let guard = G.create ~deadline ?max_conflicts () in
   G.set_cancel_target guard;
   (* The parent's pre-seeded upper bound goes straight into the guard
      before the solve starts — same channel a warm-resume checkpoint
-     uses.  Waiting for the first "b" broadcast instead would let the
+     uses.  Waiting for the first bracket broadcast instead would let the
      solver burn its opening iterations (often the expensive ones)
      without the bound. *)
   (match seed_ub with
   | Some u -> G.install_bounds guard ~lb:0 ~ub:(Some u)
   | None -> ());
   let cell = G.Progress.create () in
-  let inbuf = Buffer.create 128 in
-  let chunk = Bytes.create 4096 in
-  let publish = Wire.publisher (Workers.write_line up) cell in
+  let publish = Ck.writer up cell in
   (* Foreign clauses received from the parent, drained by the solver at
      its next restart boundary (Solver.set_importer). *)
   let imports = ref [] in
+  let inbox = Frame.reader () in
+  let receive (f : Frame.t) =
+    try
+      match f.Frame.tag with
+      | Frame.Bracket ->
+          let c = Ck.of_frame f in
+          G.install_bounds guard ~lb:c.Ck.lb ~ub:c.Ck.ub
+      | Frame.Clause when share ->
+          let _, lits = Frame.decode Frame.Clause clause_codec f in
+          imports := Array.map Lit.of_int_unsafe lits :: !imports
+      | _ -> ()
+    with Frame.Malformed _ -> ()
+  in
   let drain_broadcasts () =
-    let rec rd () =
-      match Unix.read down chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-          Buffer.add_subbytes inbuf chunk 0 n;
-          rd ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-          ()
-      | exception Unix.Unix_error _ -> ()
-    in
-    rd ();
-    Workers.take_lines inbuf
-    |> List.iter (fun line ->
-           match Wire.parse_bounds line with
-           | Some (lb, ub) -> G.install_bounds guard ~lb ~ub
-           | None -> (
-               if share then
-                 match Wire.parse_clause line with
-                 | Some (_, lits) ->
-                     imports := Array.map Lit.of_int_unsafe lits :: !imports
-                 | None -> ()))
+    try ignore (Frame.drain inbox down receive : bool)
+    with Frame.Malformed _ | Frame.Version_mismatch _ | Unix.Unix_error _ -> ()
   in
   let ticker () =
     publish ();
@@ -289,13 +185,9 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~index ~observe ~share
   in
   G.set_ticker guard ticker;
   (* Event forwarding rides the existing up pipe: each event becomes one
-     "e <wire>" line, demultiplexed in the parent by its solve id (the
+     Event frame, demultiplexed in the parent by its solve id (the
      worker's spec index). *)
-  let sink =
-    if observe then
-      Obs.of_fn (fun ev -> Workers.write_line up ("e " ^ Obs.Event.to_wire ev))
-    else Obs.null
-  in
+  let sink = if observe then Workers.event_sink up else Obs.null in
   (* Clause sharing endpoints: exports go straight up the pipe (the up
      fd is blocking, so frames are never torn); imports come from the
      broadcast queue filled above. *)
@@ -305,7 +197,8 @@ let run_worker ~deadline ~max_conflicts ~down ~up ~index ~observe ~share
         {
           T.sh_export =
             (fun ~lbd lits ->
-              Workers.write_line up (Wire.clause_line ~lbd (Array.map Lit.to_int lits)));
+              Workers.write_frame up
+                (Frame.encode Frame.Clause clause_codec (lbd, Array.map Lit.to_int lits)));
           T.sh_drain =
             (fun () ->
               let l = !imports in
@@ -372,8 +265,8 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
   (* SLS runs in two roles, both additive (it proves nothing, so it never
      replaces an exact spec).  First a pre-seed sprint, in-process and
      before any fork: a few tens of milliseconds of flips whose best
-     feasible model seeds [best_ub] and rides out in the very first "b"
-     broadcast, so every exact worker starts with a real incumbent to
+     feasible model seeds [best_ub] and rides out in the very first
+     bracket broadcast, so every exact worker starts with a real incumbent to
      prune against instead of discovering one independently.  Second, a
      rider process forked lazily in the pump only once the race has
      outlived a startup delay — an incomplete solver racing the exact
@@ -412,7 +305,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
       Some (Obs.Span.trace_id spans, Obs.Span.current spans)
     else None
   in
-  let pool = Workers.create ~sink ~grace () in
+  let pool = Workers.create ~sink ~grace ~codec:T.result_codec () in
   (* Spec order; the lazy SLS rider (below) appends a late-forked worker
      while the pump is already running. *)
   let states = ref [] in
@@ -438,12 +331,13 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
      buffer ({!Workers.send}): a full pipe parks the tail and the pump's
      writable-select round finishes the job — no torn or dropped
      broadcast. *)
+  let bracket () =
+    let ub = if !best_ub = max_int then None else Some !best_ub in
+    Ck.frame { Ck.lb = !best_lb; ub; model = None }
+  in
   let broadcast () =
-    let line =
-      Wire.bounds_line ~lb:!best_lb
-        ~ub:(if !best_ub = max_int then None else Some !best_ub)
-    in
-    List.iter (fun (_, wk) -> Workers.send wk line) !states
+    let frame = bracket () in
+    List.iter (fun (_, wk) -> Workers.send wk frame) !states
   in
   (* Fold worker bounds into the global bracket; rebroadcast on
      improvement and start cancellation once the bracket collapses. *)
@@ -472,69 +366,55 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
      re-exports (from any worker) are dropped, so the rebroadcast fan-out
      is linear in the number of distinct clauses. *)
   let seen_clauses : (string, unit) Hashtbl.t = Hashtbl.create 97 in
-  let handle_line st line =
-    match String.split_on_char ' ' line with
-    | [ "l"; v ] -> (
-        match int_of_string_opt v with
-        | Some lb when lb >= 0 -> note_bounds st lb None
-        | _ -> ())
-    | [ "u"; v ] -> (
-        match int_of_string_opt v with
-        | Some ub when ub >= 0 -> note_bounds st 0 (Some ub)
-        | _ -> ())
-    | "m" :: _ -> (
-        (* Streamed incumbent: certified by re-costing against the
-           instance here — the claimed cost is only a hint, and a model
-           that falsifies a hard clause is rejected outright. *)
-        match Wire.parse_model line with
-        | Some (_claimed, bits) when Array.length bits >= num_vars_w -> (
-            let m =
-              if Array.length bits = num_vars_w then bits
-              else Array.sub bits 0 num_vars_w
-            in
-            match Wcnf.cost_of_model w m with
-            | Some c ->
-                let improved =
-                  match st.st_model with Some (c0, _) -> c < c0 | None -> true
-                in
-                if improved then begin
-                  st.st_model <- Some (c, m);
-                  Obs.emit sink ~id:st.st_index (Obs.Event.Incumbent { cost = c });
-                  Obs.Metrics.inc m_incumbents;
-                  note_bounds st 0 (Some c)
+  let improves st c = match st.st_model with Some (c0, _) -> c < c0 | None -> true in
+  let handle_frame st (f : Frame.t) =
+    match f.Frame.tag with
+    | Frame.Bracket -> (
+        match Ck.of_frame f with
+        | exception Frame.Malformed _ -> Obs.Metrics.inc m_shared_rej
+        | { Ck.lb; ub; model } -> (
+            note_bounds st lb ub;
+            (* Streamed incumbent: certified by re-costing against the
+               instance here — the claimed cost is only a hint, and a
+               model that falsifies a hard clause is rejected outright.
+               A frame repeats the model of an unchanged ub, so only a
+               claim below the best model so far is re-costed. *)
+            match (ub, model) with
+            | Some u, Some bits when improves st u ->
+                if Array.length bits < num_vars_w then Obs.Metrics.inc m_shared_rej
+                else begin
+                  let m = Array.sub bits 0 num_vars_w in
+                  match Wcnf.cost_of_model w m with
+                  | Some c when improves st c ->
+                      st.st_model <- Some (c, m);
+                      Obs.emit sink ~id:st.st_index (Obs.Event.Incumbent { cost = c });
+                      Obs.Metrics.inc m_incumbents;
+                      note_bounds st 0 (Some c)
+                  | Some _ -> ()
+                  | None -> Obs.Metrics.inc m_shared_rej
                 end
-            | None -> Obs.Metrics.inc m_shared_rej)
-        | Some _ | None -> Obs.Metrics.inc m_shared_rej)
-    | "c" :: _ when share_clauses -> (
-        match Wire.parse_clause line with
-        | Some (lbd, lits)
-          when Array.for_all (fun l -> l lsr 1 < num_vars_w) lits ->
+            | _ -> ()))
+    | Frame.Clause when share_clauses -> (
+        match Frame.decode Frame.Clause clause_codec f with
+        | (lbd, lits) when Array.for_all (fun l -> l lsr 1 < num_vars_w) lits ->
             (* The var bound is a soundness fence: a clause mentioning
                variables past the instance's (selectors, totalizer
                internals) escaped a worker's share-safety tracking and
                must not reach its peers. *)
-            let key = Wire.digest lits in
+            let key = clause_key lits in
             if Hashtbl.mem seen_clauses key then Obs.Metrics.inc m_shared_dup
             else begin
               Hashtbl.add seen_clauses key ();
               Obs.emit sink ~id:st.st_index
                 (Obs.Event.Clause_shared { lbd; size = Array.length lits });
               Obs.Metrics.inc m_shared;
-              let frame = Wire.clause_line ~lbd lits in
+              let frame = Frame.encode Frame.Clause clause_codec (lbd, lits) in
               List.iter
                 (fun (st', wk) ->
                   if st'.st_index <> st.st_index then Workers.send wk frame)
                 !states
             end
-        | Some _ -> Obs.Metrics.inc m_shared_rej
-        | None -> Obs.Metrics.inc m_shared_rej)
-    | "e" :: _ -> (
-        (* Forwarded child event: re-emit into the parent's
-           sink with the child's own id and timestamp. *)
-        let wire = String.sub line 2 (String.length line - 2) in
-        match Obs.Event.of_wire wire with
-        | Some ev -> Obs.feed sink ev
-        | None -> ())
+        | _ | (exception Frame.Malformed _) -> Obs.Metrics.inc m_shared_rej)
     | _ -> ()
   in
   let on_exit st (e : T.result Workers.exit) =
@@ -564,8 +444,8 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
        parent's SIGTERM ladder is what lets them flush their partial
        bounds first. *)
     let wk =
-      Workers.spawn pool ~id:index ~ignore_sigint:handle_sigint ~down:true ~deadline
-        ~on_line:(handle_line st) ~on_exit:(on_exit st)
+      Workers.spawn pool ~id:index ~ignore_sigint:handle_sigint ~down:true ~events:sink
+        ~deadline ~on_frame:(handle_frame st) ~on_exit:(on_exit st)
         (fun ~up ~down ->
           run_worker ~deadline ~max_conflicts ~down:(Option.get down) ~up ~index
             ~observe ~share:share_clauses ~seed_ub ~trace_ctx sp w)
@@ -611,9 +491,7 @@ let solve ?specs ?(jobs = 4) ?timeout ?(grace = 1.0) ?max_conflicts ?trace
     in
     say "c [portfolio] sls rider forked at +%.2fs" (Unix.gettimeofday () -. t0);
     (* Catch the rider up on the bracket it missed. *)
-    Workers.send wk
-      (Wire.bounds_line ~lb:!best_lb
-         ~ub:(if !best_ub = max_int then None else Some !best_ub))
+    Workers.send wk (bracket ())
   in
   let rec pump () =
     if

@@ -2,8 +2,9 @@
 
     One instance, [N] forked workers ({!Msu_harness.Workers}), each
     running a different algorithm.  Workers publish every improved
-    lower/upper bound to the parent over their up pipe; the parent keeps the
-    best global bracket and rebroadcasts it, and each worker installs
+    lower/upper bound to the parent over their up pipe as
+    {!Msu_guard.Checkpoint} bracket frames; the parent keeps the best
+    global bracket and rebroadcasts it in the same frame, and each worker installs
     the broadcast through its {!Msu_guard.Guard} — msu4 tightens its
     at-most bound with a peer's upper bound, and any worker stops the
     moment the shared bounds close the gap.  The first worker to close
@@ -21,8 +22,8 @@
        the parent dedupes them by a sorted-literal digest, checks every
        variable is the instance's own, and rebroadcasts to the other
        workers, which import at restart boundaries.}
-    {- {b Incumbent streaming}: every worker sends each improving
-       model up the pipe; the parent {e re-costs it against the
+    {- {b Incumbent streaming}: every bracket frame carries the model
+       behind its upper bound; the parent {e re-costs it against the
        instance} before trusting it, so a flip-found SLS model (add one
        with [sls_worker]) tightens [best_ub] — and survives even a
        SIGKILL — only if it really has that cost.}}
@@ -35,42 +36,9 @@
     model-backed by construction (the parent re-costed them) and may
     decide an optimum when a peer proves the matching lower bound. *)
 
-(** The line-oriented pipe protocol: encoders, validating parsers and
-    the dedup digest.  Line framing and the down pipe's retrying output
-    buffer belong to {!Msu_harness.Workers}.  Exposed for the wire fuzz
-    tests; {!solve} is the only intended production entry. *)
-module Wire : sig
-  val bounds_line : lb:int -> ub:int option -> string
-
-  val parse_bounds : string -> (int * int option) option
-  (** Validating parse of a ["b <lb> <ub>"] frame: junk tokens, huge
-      ints, negative [lb] and crossed brackets ([lb > ub]) all yield
-      [None]; [ub < 0] means "none known" and comes back as [None] in
-      the pair — it can never be installed as a real upper bound. *)
-
-  val clause_line : lbd:int -> int array -> string
-  (** ["c <lbd> <packed-lits…>"]; literals in {!Msu_cnf.Lit.to_int}
-      form. *)
-
-  val parse_clause : string -> (int * int array) option
-  (** [None] on junk, negative literals, empty or oversized clauses. *)
-
-  val model_line : cost:int -> bool array -> string
-  (** ["m <cost> <bits>"] with one ['0']/['1'] per variable. *)
-
-  val parse_model : string -> (int * bool array) option
-
-  val digest : int array -> string
-  (** Order-independent dedup key: the sorted packed literals. *)
-
-  val publisher :
-    (string -> unit) -> Msu_guard.Guard.Progress.cell -> unit -> unit
-  (** [publisher write cell] is a worker's bound stream: a thunk that
-      writes ["l <lb>"] when the lower bound rose, and ["u <ub>"] plus
-      the incumbent's ["m"] line when the upper bound fell, through the
-      cell's change gate ({!Msu_guard.Guard.Progress.publisher}).  The
-      first call writes the lower bound even when it is still 0. *)
-end
+val clause_codec : (int * int array) Msu_frame.Frame.codec
+(** A shared learnt clause: its LBD and its {!Msu_cnf.Lit.to_int}
+    literals, 1 to 64 of them.  Exposed for the frame fuzz tests. *)
 
 type spec = {
   label : string;

@@ -105,58 +105,32 @@ let find t ~fingerprint w =
 
 (* ---------------- disk persistence ----------------
 
-   The on-disk form is a plain (fingerprint, cost, model) list written
-   atomically (temp file + rename).  Nothing on the load path is
-   trusted: a corrupt or alien file yields an empty cache, and every
-   entry it did deliver still passes through the re-cost check before
-   being served. *)
+   The on-disk form is one Entry frame per (fingerprint, cost, model),
+   written atomically (temp file + fsync + rename).  Nothing on the load
+   path is trusted: loading stops at the first torn or bad frame, and
+   every entry it did deliver still passes through the re-cost check
+   before being served. *)
 
-type snapshot = (string * int * bool array) list
+module Frame = Msu_frame.Frame
+
+let entry_codec =
+  Frame.map
+    (fun (fp, cost, model) -> (fp, (cost, model)))
+    (function "", _ -> Frame.malformed "empty fingerprint" | fp, (cost, model) -> (fp, cost, model))
+    Frame.(pair string (pair nat bits))
 
 let save t path =
-  let snap : snapshot =
-    Hashtbl.fold (fun fp e acc -> (fp, e.e_cost, e.e_model) :: acc) t.tbl []
+  let frames =
+    Hashtbl.fold
+      (fun fp e acc -> Frame.encode Frame.Entry entry_codec (fp, e.e_cost, e.e_model) :: acc)
+      t.tbl []
   in
-  let tmp = path ^ ".tmp" in
-  (try
-     let payload = Marshal.to_bytes snap [] in
-     let fd =
-       Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
-     in
-     let finally () = try Unix.close fd with Unix.Unix_error _ -> () in
-     Fun.protect ~finally (fun () ->
-         let len = Bytes.length payload in
-         let rec go off =
-           if off < len then go (off + Unix.write fd payload off (len - off))
-         in
-         go 0;
-         (* fsync before rename: a crash between the two must expose
-            either the old snapshot or the complete new one, never a
-            renamed-into-place truncation. *)
-         Unix.fsync fd);
-     Sys.rename tmp path
-   with Sys_error _ | Unix.Unix_error _ -> ());
-  ()
+  try Frame.write_file path frames with Sys_error _ | Unix.Unix_error _ -> ()
 
 let load ~capacity path =
   let t = create ~capacity in
-  (try
-     let ic = open_in_bin path in
-     let finally () = try close_in ic with Sys_error _ -> () in
-     Fun.protect ~finally (fun () ->
-         let snap = (Marshal.from_channel ic : snapshot) in
-         List.iter
-           (fun (fp, cost, model) ->
-             if
-               Hashtbl.length t.tbl < capacity
-               && String.length fp > 0
-               && cost >= 0
-             then store t ~fingerprint:fp ~cost ~model)
-           snap)
-   with
-  (* A corrupt, truncated, or alien snapshot is a cache miss, not a
-     crash: the daemon must come back up after losing its disk state. *)
-  | Sys_error _ | End_of_file | Failure _ | Invalid_argument _
-  | Unix.Unix_error _ ->
-    ());
+  List.iter
+    (fun (fingerprint, cost, model) ->
+      if Hashtbl.length t.tbl < capacity then store t ~fingerprint ~cost ~model)
+    (Frame.read_file Frame.Entry entry_codec path);
   t

@@ -8,9 +8,9 @@
     or corrupted entry (or an outright fingerprint collision) degrades
     to a miss, never to a wrong answer.
 
-    Optionally persists to disk (atomic temp-file + rename Marshal
-    snapshot); the load path trusts nothing — a corrupt file yields an
-    empty cache. *)
+    Optionally persists to disk as one {!Msu_frame.Frame} per entry
+    (atomic temp file + fsync + rename); the load path trusts nothing
+    and stops at the first torn or bad frame. *)
 
 type t
 
@@ -33,4 +33,8 @@ val save : t -> string -> unit
     an accelerator, not a database). *)
 
 val load : capacity:int -> string -> t
-(** Load a snapshot; missing or corrupt files give an empty cache. *)
+(** Load a snapshot: the entries before its first torn or bad frame;
+    a missing or alien file gives an empty cache. *)
+
+val entry_codec : (string * int * bool array) Msu_frame.Frame.codec
+(** Fingerprint (not empty), cost, model. *)

@@ -1,5 +1,6 @@
 module Wcnf = Msu_cnf.Wcnf
 module P = Protocol
+module Frame = Msu_frame.Frame
 
 exception Error of string
 
@@ -24,19 +25,18 @@ let connect ?(retries = 100) path =
 let close fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
 let send fd req =
-  try P.write_value fd (req : P.request)
-  with P.Protocol_error msg | Unix.Unix_error (_, msg, _) ->
-    raise (Error ("send: " ^ msg))
+  try Frame.write fd (P.encode req)
+  with Unix.Unix_error (_, msg, _) -> raise (Error ("send: " ^ msg))
 
 let recv fd : P.reply option =
-  try P.read_value fd with
-  | P.Protocol_error msg -> raise (Error ("recv: " ^ msg))
-  | P.Version_mismatch v ->
+  try Option.map (Frame.decode Frame.Reply P.reply_codec) (Frame.input fd) with
+  | Frame.Malformed msg -> raise (Error ("recv: " ^ msg))
+  | Frame.Version_mismatch v ->
       raise
         (Error
            (Printf.sprintf
               "recv: server speaks protocol v%d, this client speaks v%d" v
-              P.version))
+              Frame.version))
 
 let submit fd ?(options = P.default_options) w =
   send fd (P.Solve { wcnf = P.to_wire w; options });

@@ -6,12 +6,12 @@
     the journal on restart and re-enqueues every admitted-but-not-
     completed job, so accepting a job really is a durable promise.
 
-    On-disk format: an 8-byte header (magic word + format version),
-    then one frame per record — 4-byte big-endian payload length,
-    16-byte MD5 digest of the payload, Marshal payload.  Replay stops
-    at the first truncated or corrupt frame (the torn tail a crash
-    mid-append leaves), keeping every record before it.  A missing
-    file, or one with an alien header, replays as empty.
+    On-disk format: one {!Msu_frame.Frame} per record, tagged
+    [Record].  Replay stops at the first frame that is torn, fails its
+    digest or does not decode (the torn tail a crash mid-append leaves),
+    keeping every record before it.  A missing file, or an alien one,
+    replays as empty; so does a journal written by a build older than
+    the frame format.
 
     {!restart} compacts: the replayed pending records are rewritten to
     a fresh journal (atomic temp file + fsync + rename), so completed
@@ -28,9 +28,11 @@ type record =
 
 type t
 
+val codec : record Msu_frame.Frame.codec
+
 val replay : string -> record list
-(** Every intact record, file order.  Missing file, alien header, or a
-    corrupt first record give []; a torn tail only loses the tail. *)
+(** Every intact record, file order.  A missing or alien file, or a
+    corrupt first record, gives []; a torn tail only loses the tail. *)
 
 val pending : record list -> record list
 (** The [Admitted] records with no matching [Completed] — the jobs a

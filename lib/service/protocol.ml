@@ -2,12 +2,12 @@ module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
+module Card = Msu_card.Card
+module Fault = Msu_guard.Fault
+module Frame = Msu_frame.Frame
 
 (* Instances cross the socket as plain integer arrays rather than as
-   Wcnf.t: the client and server are separate binaries, and a mirror
-   type of unboxed scalars is the shape Marshal round-trips safely
-   between them (no abstract types, no closures, no sharing
-   surprises). *)
+   Wcnf.t, in a mirror type the codec below checks field by field. *)
 type wire_wcnf = {
   w_vars : int;
   w_hard : int array array;  (* Lit.to_int per literal *)
@@ -15,20 +15,17 @@ type wire_wcnf = {
 }
 
 let to_wire w =
-  let hard = ref [] in
-  Wcnf.iter_hard
-    (fun _ c -> hard := Array.map Lit.to_int c :: !hard)
-    w;
-  let soft = ref [] in
-  Wcnf.iter_soft
-    (fun _ c weight -> soft := (weight, Array.map Lit.to_int c) :: !soft)
-    w;
+  let lits c = Array.map Lit.to_int c in
   {
     w_vars = Wcnf.num_vars w;
-    w_hard = Array.of_list (List.rev !hard);
-    w_soft = Array.of_list (List.rev !soft);
+    w_hard = Array.init (Wcnf.num_hard w) (fun i -> lits (Wcnf.hard w i));
+    w_soft = Array.init (Wcnf.num_soft w) (fun i -> (Wcnf.weight w i, lits (Wcnf.soft w i)));
   }
 
+let max_vars = 1 lsl 22
+
+(* Only a decoded instance reaches [of_wire] in the daemon, and the
+   codec has already checked every literal against [w_vars]. *)
 let of_wire ww =
   let w = Wcnf.create () in
   Wcnf.ensure_vars w ww.w_vars;
@@ -103,102 +100,142 @@ type reply =
   | Cancel_ack of { id : int; found : bool }
   | Bye
 
-(* ---------------- framing ----------------
+(* ---------------- codecs ----------------
 
-   Each message is a 12-byte header — magic word, protocol version,
-   big-endian payload length — followed by that many bytes of Marshal
-   payload.  The magic rejects random garbage; the version word lets a
-   restarted daemon running a different binary answer a stale client
-   with a clean [Rejected] instead of a Marshal failure tearing down
-   the connection (Marshal layouts are not stable across binaries).
-   The length cap rejects a corrupt or hostile length before it turns
-   into an allocation. *)
+   Constructors travel under the explicit numbers below, algorithms,
+   encodings and faults by name.  Every range check of an instance
+   fails as "malformed instance", which the daemon sends back as the
+   rejection reason. *)
 
-let max_frame = 1 lsl 28
-let magic = 0x4D535355 (* "MSSU" *)
-let version = 1
+let lits_codec = Frame.array Frame.nat
 
-exception Protocol_error of string
-
-exception Version_mismatch of int
-(** Peer speaks the framed protocol but a different version (payload
-    carried alongside). *)
-
-let header_bytes = 12
-
-let encode v =
-  let payload = Marshal.to_string v [] in
-  let n = String.length payload in
-  if n > max_frame then raise (Protocol_error "frame too large");
-  let b = Bytes.create (header_bytes + n) in
-  Bytes.set_int32_be b 0 (Int32.of_int magic);
-  Bytes.set_int32_be b 4 (Int32.of_int version);
-  Bytes.set_int32_be b 8 (Int32.of_int n);
-  Bytes.blit_string payload 0 b header_bytes n;
-  b
-
-let check_header ~magic_word ~ver =
-  if magic_word <> magic then raise (Protocol_error "bad magic");
-  if ver <> version then raise (Version_mismatch ver)
-
-let write_value fd v =
-  let b = encode v in
-  let len = Bytes.length b in
-  let rec go off =
-    if off < len then begin
-      let k = Unix.write fd b off (len - off) in
-      if k = 0 then raise (Protocol_error "connection closed mid-write");
-      go (off + k)
-    end
+let wcnf_codec =
+  let in_range vars = Array.for_all (fun l -> l lsr 1 < vars) in
+  let ok w =
+    w.w_vars <= max_vars
+    && Array.for_all (in_range w.w_vars) w.w_hard
+    && Array.for_all (fun (weight, c) -> weight > 0 && in_range w.w_vars c) w.w_soft
   in
-  go 0
+  let shape = Frame.(pair nat (pair (array lits_codec) (array (pair nat lits_codec)))) in
+  {
+    Frame.write = (fun b w -> shape.write b (w.w_vars, (w.w_hard, w.w_soft)));
+    read =
+      (fun s ->
+        match shape.read s with
+        | w_vars, (w_hard, w_soft) when ok { w_vars; w_hard; w_soft } -> { w_vars; w_hard; w_soft }
+        | _ | (exception Frame.Malformed _) -> Frame.malformed "malformed instance");
+  }
 
-(* Blocking exact read; [None] on a clean EOF at a frame boundary. *)
-let read_value fd =
-  let read_exactly n =
-    let b = Bytes.create n in
-    let rec go off =
-      if off = n then Some b
-      else
-        match Unix.read fd b off (n - off) with
-        | 0 -> if off = 0 then None else raise (Protocol_error "truncated frame")
-        | k -> go (off + k)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-    in
-    go 0
+let options_codec =
+  let open Frame in
+  map
+    (fun o -> ((o.algorithm, o.encoding), ((o.timeout, o.max_conflicts), ((o.priority, o.use_cache), o.fault))))
+    (fun ((algorithm, encoding), ((timeout, max_conflicts), ((priority, use_cache), fault))) ->
+      { algorithm; encoding; timeout; max_conflicts; priority; use_cache; fault })
+    (pair
+       (pair (named M.algorithm_to_string M.algorithm_of_string)
+          (option (named Card.encoding_to_string Card.encoding_of_string)))
+       (pair (pair (option float) (option nat))
+          (pair (pair int bool) (option (named Fault.to_string Fault.of_string)))))
+
+let request_codec =
+  let open Frame in
+  {
+    write =
+      (fun b -> function
+        | Solve { wcnf; options } -> nat.write b 0; wcnf_codec.write b wcnf; options_codec.write b options
+        | Stats -> nat.write b 1
+        | Cancel id -> nat.write b 2; nat.write b id
+        | Shutdown { drain } -> nat.write b 3; bool.write b drain);
+    read =
+      (fun s ->
+        match nat.read s with
+        | 0 -> let wcnf = wcnf_codec.read s in Solve { wcnf; options = options_codec.read s }
+        | 1 -> Stats
+        | 2 -> Cancel (nat.read s)
+        | 3 -> Shutdown { drain = bool.read s }
+        | _ -> malformed "unknown request");
+  }
+
+let stats_codec =
+  let open Frame in
+  let latency =
+    map
+      (fun l -> ((l.l_count, l.l_mean), (l.l_p50, l.l_p95)))
+      (fun ((l_count, l_mean), (l_p50, l_p95)) -> { l_count; l_mean; l_p50; l_p95 })
+      (pair (pair nat float) (pair float float))
   in
-  match read_exactly header_bytes with
-  | None -> None
-  | Some hdr ->
-      check_header
-        ~magic_word:(Int32.to_int (Bytes.get_int32_be hdr 0))
-        ~ver:(Int32.to_int (Bytes.get_int32_be hdr 4));
-      let n = Int32.to_int (Bytes.get_int32_be hdr 8) in
-      if n < 0 || n > max_frame then raise (Protocol_error "bad frame length");
-      (match read_exactly n with
-      | None -> raise (Protocol_error "truncated frame")
-      | Some payload -> Some (Marshal.from_bytes payload 0))
+  let counts = list nat and outcomes = list (pair string nat) and latencies = list (pair string latency) in
+  {
+    write =
+      (fun b st ->
+        counts.write b
+          [
+            st.requests; st.completed; st.hits; st.misses; st.rejected; st.crashes; st.cancelled;
+            st.queue_depth; st.running; st.workers_total; st.cache_entries;
+          ];
+        List.iter (float.write b) [ st.uptime; st.hit_rate ];
+        outcomes.write b st.outcomes;
+        latencies.write b st.per_algorithm;
+        string.write b st.prometheus);
+    read =
+      (fun s ->
+        match counts.read s with
+        | [ requests; completed; hits; misses; rejected; crashes; cancelled; queue_depth; running;
+            workers_total; cache_entries ] ->
+            let uptime = float.read s in
+            let hit_rate = float.read s in
+            let outcomes = outcomes.read s in
+            let per_algorithm = latencies.read s in
+            { uptime; requests; completed; hits; misses; rejected; crashes; cancelled; queue_depth;
+              running; workers_total; hit_rate; cache_entries; outcomes; per_algorithm;
+              prometheus = string.read s }
+        | _ -> malformed "stats counts");
+  }
 
-(* Non-blocking side: complete frames accumulated in [buf] are decoded
-   and removed; a trailing partial frame stays buffered. *)
+let reply_codec =
+  let open Frame in
+  let model = option bits in
+  {
+    write =
+      (fun b -> function
+        | Accepted { id } -> nat.write b 0; nat.write b id
+        | Rejected { reason } -> nat.write b 1; string.write b reason
+        | Result { id; outcome; model = m; cached; elapsed } ->
+            nat.write b 2; nat.write b id; T.outcome_codec.write b outcome; model.write b m;
+            bool.write b cached; float.write b elapsed
+        | Stats_report st -> nat.write b 3; stats_codec.write b st
+        | Cancel_ack { id; found } -> nat.write b 4; nat.write b id; bool.write b found
+        | Bye -> nat.write b 5);
+    read =
+      (fun s ->
+        match nat.read s with
+        | 0 -> Accepted { id = nat.read s }
+        | 1 -> Rejected { reason = string.read s }
+        | 2 ->
+            let id = nat.read s in
+            let outcome = T.outcome_codec.read s in
+            let m = model.read s in
+            let cached = bool.read s in
+            Result { id; outcome; model = m; cached; elapsed = float.read s }
+        | 3 -> Stats_report (stats_codec.read s)
+        | 4 -> let id = nat.read s in Cancel_ack { id; found = bool.read s }
+        | 5 -> Bye
+        | _ -> malformed "unknown reply");
+  }
+
+let encode req = Frame.encode Frame.Request request_codec req
+
+(* Every whole frame in [buf] in one pass over one copy of it; a
+   trailing partial frame stays buffered. *)
 let decode_frames buf =
-  let rec go acc =
-    let s = Buffer.contents buf in
-    let have = String.length s in
-    if have < header_bytes then List.rev acc
-    else begin
-      check_header
-        ~magic_word:(Int32.to_int (String.get_int32_be s 0))
-        ~ver:(Int32.to_int (String.get_int32_be s 4));
-      let n = Int32.to_int (String.get_int32_be s 8) in
-      if n < 0 || n > max_frame then raise (Protocol_error "bad frame length");
-      if have < header_bytes + n then List.rev acc
-      else begin
-        let v = Marshal.from_string (String.sub s header_bytes n) 0 in
+  let s = Buffer.contents buf in
+  let rec go pos acc =
+    match Frame.parse s pos with
+    | Some (f, next) -> go next (Frame.decode Frame.Request request_codec f :: acc)
+    | None ->
         Buffer.clear buf;
-        Buffer.add_substring buf s (header_bytes + n) (have - header_bytes - n);
-        go (v :: acc)
-      end
-    end
+        Buffer.add_substring buf s pos (String.length s - pos);
+        List.rev acc
   in
-  go []
+  go 0 []

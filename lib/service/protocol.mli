@@ -1,14 +1,12 @@
 (** Wire protocol of the solve service.
 
     Requests and replies travel over a Unix-domain stream socket as
-    framed Marshal values: a 12-byte header (magic word, protocol
-    version, 4-byte big-endian payload length), then the payload.  All
-    transported types are closure-free mirrors built from scalars and
-    arrays, so the separately-linked [mserve] and [msolve] binaries
-    round-trip them safely.  The magic/version words let a restarted
-    daemon running a different binary reject a stale client with a
-    clean error reply instead of a [Marshal] failure tearing down the
-    connection.
+    {!Msu_frame.Frame}s: [Request] frames from the client, [Reply]
+    frames back, each payload written and checked by the typed codecs
+    below.  A frame of another version is answered with a [Rejected]
+    reply naming both versions; any other bad frame closes that
+    connection only, and a whole frame whose payload fails its codec is
+    answered with [Rejected] carrying the codec's message.
 
     One connection may carry any number of requests; [Result] replies
     are tagged with the job id from the matching [Accepted], so a
@@ -21,8 +19,15 @@ type wire_wcnf = {
   w_soft : (int * int array) array;  (** (weight, literals) *)
 }
 
+val max_vars : int
+(** Largest [w_vars] a request may declare: 4,194,304, a thousand times
+    the largest instance of the service suites. *)
+
 val to_wire : Msu_cnf.Wcnf.t -> wire_wcnf
+
 val of_wire : wire_wcnf -> Msu_cnf.Wcnf.t
+(** For an instance {!wcnf_codec} accepted: it does not check the
+    literals again. *)
 
 type options = {
   algorithm : Msu_maxsat.Maxsat.algorithm;
@@ -89,36 +94,19 @@ type reply =
   | Cancel_ack of { id : int; found : bool }
   | Bye  (** shutdown acknowledged *)
 
-exception Protocol_error of string
-(** Bad magic, bad frame length, truncated frame, or mid-write
-    disconnect. *)
+val wcnf_codec : wire_wcnf Msu_frame.Frame.codec
+(** Reading rejects, as ["malformed instance"], a [w_vars] above
+    {!max_vars}, a literal whose variable is not below [w_vars] and a
+    weight below 1, so a decoded instance is safe for {!of_wire}. *)
 
-exception Version_mismatch of int
-(** The peer speaks the framed protocol — magic word matched — but at
-    a different version (the payload).  The server answers with
-    [Rejected] before closing; a client surfaces it as a clean
-    error. *)
+val options_codec : options Msu_frame.Frame.codec
+val request_codec : request Msu_frame.Frame.codec
+val reply_codec : reply Msu_frame.Frame.codec
 
-val max_frame : int
+val encode : request -> bytes
+(** One request frame. *)
 
-val magic : int
-(** Frame magic word; anything else on the wire is garbage. *)
-
-val version : int
-(** Protocol version stamped on every frame this binary emits. *)
-
-val encode : 'a -> bytes
-(** Header-prefixed Marshal frame for one value. *)
-
-val write_value : Unix.file_descr -> 'a -> unit
-(** Write one frame, handling short writes.
-    @raise Protocol_error on a closed connection. *)
-
-val read_value : Unix.file_descr -> 'a option
-(** Blocking read of one frame; [None] on clean EOF at a frame
-    boundary.  @raise Protocol_error on a truncated frame. *)
-
-val decode_frames : Buffer.t -> 'a list
-(** Decode and remove every complete frame accumulated in [buf]; a
-    trailing partial frame stays buffered.  For the server's
-    non-blocking connection loop. *)
+val decode_frames : Buffer.t -> request list
+(** Decode and remove every whole request frame accumulated in [buf]; a
+    trailing partial frame stays buffered.
+    @raise Msu_frame.Frame.Malformed or {!Msu_frame.Frame.Version_mismatch}. *)

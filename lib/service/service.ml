@@ -7,6 +7,7 @@ module Fault = Msu_guard.Fault
 module Workers = Msu_harness.Workers
 module Ck = Msu_guard.Checkpoint
 module P = Protocol
+module Frame = Msu_frame.Frame
 module Obs = Msu_obs.Obs
 
 type config = {
@@ -64,7 +65,7 @@ let default_config ~socket_path =
 
 type conn = {
   c_fd : Unix.file_descr;
-  c_buf : Buffer.t;  (* partial inbound frame *)
+  c_in : Frame.reader;  (* inbound bytes past the last whole frame *)
   mutable c_alive : bool;
 }
 
@@ -87,7 +88,7 @@ type job = {
 type slot = {
   sl_job : job;
   sl_worker : T.result Workers.worker;
-  sl_ck : Ck.reader;  (* the worker's checkpoint frames *)
+  sl_ck : Ck.t option ref;  (* the worker's newest checkpoint frame *)
   sl_solve : Obs.Span.h option;  (* worker-solve span, closed at reap *)
   sl_started : float;
   mutable sl_cancelled : bool;
@@ -121,7 +122,6 @@ type state = {
          profiled job's id (daemon-side spans and the worker's forwarded
          stream alike) buffers here until the job finishes, then leaves
          as one Chrome trace file *)
-  chunk : Bytes.t;  (* connection read buffer, reused across reads *)
 }
 
 (* ---------------- observability ---------------- *)
@@ -269,8 +269,8 @@ let snapshot st =
    timeout) loses its answer, never the daemon. *)
 let send st conn reply =
   if conn.c_alive then
-    try P.write_value conn.c_fd reply
-    with Unix.Unix_error _ | P.Protocol_error _ | Sys_error _ ->
+    try Frame.write conn.c_fd (Frame.encode Frame.Reply P.reply_codec reply)
+    with Unix.Unix_error _ | Sys_error _ ->
       conn.c_alive <- false;
       say st "dropped reply to a dead connection"
 
@@ -368,7 +368,7 @@ let salvage wcnf ck (r : T.result) =
 let worker_exited st job (e : T.result Workers.exit) =
   let sl = List.find (fun sl -> sl.sl_job == job) st.slots in
   st.slots <- List.filter (fun sl' -> sl' != sl) st.slots;
-  (match Ck.latest sl.sl_ck with
+  (match !(sl.sl_ck) with
   | Some ck -> job.j_ck <- Ck.merge job.j_ck ck
   | None -> ());
   (* The pipe is drained, so every worker span it carried lands inside
@@ -434,20 +434,10 @@ let spawn st job =
     | None -> None
   in
   (* Events ride the worker's one up pipe next to its checkpoint frames,
-     as "e <wire>" lines stamped with the job id, so the daemon's single
+     as event frames stamped with the job id, so the daemon's single
      sink demultiplexes by request. *)
   let observe = (not (Obs.is_null st.cfg.sink)) || st.cfg.profile_dir <> None in
-  let reader = Ck.reader () in
-  let on_line line =
-    if String.starts_with ~prefix:"e " line then begin
-      match Obs.Event.of_wire (String.sub line 2 (String.length line - 2)) with
-      | Some e ->
-          Obs.feed st.cfg.sink e;
-          collect st e
-      | None -> ()
-    end
-    else Ck.feed reader (line ^ "\n")
-  in
+  let latest = ref None in
   let started = Unix.gettimeofday () in
   (* The worker owns nothing of the daemon: not the listener, a client
      connection or the journal; the daemon's SIGTERM ladder, not the
@@ -457,8 +447,10 @@ let spawn st job =
     @ match st.journal with Some j -> [ Journal.fd j ] | None -> []
   in
   let worker =
-    Workers.spawn st.pool ~id:job.j_id ~close ~ignore_sigint:true
-      ~deadline:(started +. timeout) ~on_line ~on_exit:(worker_exited st job)
+    Workers.spawn st.pool ~id:job.j_id ~close ~ignore_sigint:true ~events:(job_sink st)
+      ~deadline:(started +. timeout)
+      ~on_frame:(fun f -> latest := Some (Ck.of_frame f))
+      ~on_exit:(worker_exited st job)
       (fun ~up ~down:_ ->
         (match job.j_options.P.fault with Some k -> Fault.arm k | None -> ());
         let deadline = Unix.gettimeofday () +. timeout in
@@ -466,11 +458,7 @@ let spawn st job =
           G.create ~deadline ?max_conflicts:job.j_options.P.max_conflicts ()
         in
         G.set_cancel_target guard;
-        let sink =
-          if observe then
-            Obs.of_fn (fun e -> Workers.write_line up ("e " ^ Obs.Event.to_wire e))
-          else Obs.null
-        in
+        let sink = if observe then Workers.event_sink up else Obs.null in
         let spans =
           match trace_ctx with
           | Some (trace, parent) ->
@@ -516,7 +504,7 @@ let spawn st job =
     {
       sl_job = job;
       sl_worker = worker;
-      sl_ck = reader;
+      sl_ck = latest;
       sl_solve = solve_h;
       sl_started = started;
       sl_cancelled = false;
@@ -750,47 +738,37 @@ let accept_new st =
          the daemon: bound every send. *)
       (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 5.0
        with Unix.Unix_error _ -> ());
-      st.conns <- { c_fd = fd; c_buf = Buffer.create 256; c_alive = true } :: st.conns
+      st.conns <- { c_fd = fd; c_in = Frame.reader (); c_alive = true } :: st.conns
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
 
+(* A frame of another version gets a [Rejected] naming both versions; a
+   bad frame closes the connection, since nothing after it can be
+   trusted; a whole frame whose payload fails its codec is answered with
+   the codec's message and the stream goes on. *)
 let read_conn st conn =
-  let closed = ref false in
-  (try
-     let rec rd () =
-       match Unix.read conn.c_fd st.chunk 0 (Bytes.length st.chunk) with
-       | 0 -> closed := true
-       | n ->
-           Buffer.add_subbytes conn.c_buf st.chunk 0 n;
-           rd ()
-       | exception
-           Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-         ->
-           ()
-     in
-     rd ();
-     List.iter
-       (fun req -> handle_request st conn req)
-       (P.decode_frames conn.c_buf : P.request list)
-   with
-  | P.Version_mismatch v ->
-      (* A client built against a different protocol: answer before
-         Marshal ever touches the payload, then drop the connection. *)
-      send st conn
-        (P.Rejected
-           {
-             reason =
-               Printf.sprintf
-                 "protocol version mismatch (client %d, server %d)" v
-                 P.version;
-           });
-      say st "rejected client speaking protocol v%d (server v%d)" v P.version;
-      closed := true
-  | P.Protocol_error _ | Failure _ | Unix.Unix_error _ ->
-      (* Garbage on the wire: drop the connection, keep the daemon. *)
-      closed := true);
-  if !closed then conn.c_alive <- false
+  let request f =
+    match Frame.decode Frame.Request P.request_codec f with
+    | req -> handle_request st conn req
+    | exception Frame.Malformed reason ->
+        st.rejected <- st.rejected + 1;
+        Obs.Metrics.inc m_rejected;
+        send st conn (P.Rejected { reason })
+  in
+  let closed =
+    match Frame.drain conn.c_in conn.c_fd request with
+    | open_ -> not open_
+    | exception Frame.Version_mismatch v ->
+        let reason = Printf.sprintf "protocol version mismatch (client %d, server %d)" v Frame.version in
+        send st conn (P.Rejected { reason });
+        say st "rejected client speaking protocol v%d (server v%d)" v Frame.version;
+        true
+    | exception (Frame.Malformed _ | Failure _ | Unix.Unix_error _) ->
+        (* Garbage on the wire: drop the connection, keep the daemon. *)
+        true
+  in
+  if closed then conn.c_alive <- false
 
 let close_dead st =
   let dead, alive = List.partition (fun c -> not c.c_alive) st.conns in
@@ -841,7 +819,7 @@ let run ?(handle_signals = false) cfg =
       started = Unix.gettimeofday ();
       conns = [];
       queue = Jobq.create ~capacity:cfg.queue_capacity;
-      pool = Workers.create ~sink:cfg.sink ~grace:cfg.grace ();
+      pool = Workers.create ~sink:cfg.sink ~grace:cfg.grace ~codec:T.result_codec ();
       slots = [];
       retries = [];
       cache;
@@ -859,7 +837,6 @@ let run ?(handle_signals = false) cfg =
       outcome_counts = Hashtbl.create 4;
       last_metrics_write = 0.;
       profiles = Hashtbl.create 8;
-      chunk = Bytes.create 65536;
     }
   in
   say st "listening on %s (%d workers, queue %d, cache %d%s)" cfg.socket_path
@@ -885,7 +862,7 @@ let run ?(handle_signals = false) cfg =
                   j_fingerprint = Canon.fingerprint w;
                   j_options = { options with P.fault = None };
                   j_conn =
-                    { c_fd = Unix.stdin; c_buf = Buffer.create 1; c_alive = false };
+                    { c_fd = Unix.stdin; c_in = Frame.reader (); c_alive = false };
                   j_submitted = submitted;
                   j_attempts = 0;
                   j_not_before = 0.;
@@ -952,7 +929,7 @@ let run ?(handle_signals = false) cfg =
     if st.draining && Jobq.is_empty st.queue && st.slots = [] && st.retries = []
     then say st "drained; exiting"
     else begin
-      (* One select: the workers' pipes (lines, reaps and the kill
+      (* One select: the workers' pipes (frames, reaps and the kill
          ladder are the pool's) plus the listener and connections. *)
       let readable =
         Workers.poll st.pool

@@ -1,7 +1,7 @@
 (** Persistent MaxSAT solve daemon.
 
     One process listens on a Unix-domain socket and serves
-    length-prefixed {!Protocol} requests.  A solve request is first
+    {!Protocol} request frames.  A solve request is first
     canonicalized and fingerprinted ({!Msu_cnf.Canon}); a cache hit —
     re-verified by {!Msu_maxsat.Certify.recost} against the requesting
     instance — is answered immediately.  Misses enter a bounded
@@ -11,10 +11,12 @@
     SIGTERM → flush-grace → SIGKILL cancellation, and bounds-salvaging
     crash reports.  A worker that crashes or times out costs its own
     request a [Crashed]/[Bounds] result, never the daemon.  Each worker
-    owns one pipe, which carries its checkpoint frames and, when the
-    daemon streams events or profiles, its events as [e <wire>] lines;
-    the pool's one [select] also watches the listener and every
-    connection.
+    owns one pipe, which carries its checkpoint frames, its event
+    frames when the daemon streams events or profiles, and its result
+    frame last; the pool's one [select] also watches the listener and
+    every connection.  A request whose instance is out of range is
+    answered [Rejected "malformed instance"]; a bad frame closes its
+    connection, never the daemon.
 
     Crash recovery: workers stream {!Msu_guard.Checkpoint} frames
     (certified lb/ub bracket plus incumbent model) up their pipe; a

@@ -240,44 +240,61 @@ let test_isolated_suite_survives_crashes () =
 
 module Ck = Msu_guard.Checkpoint
 
+module Frame = Msu_frame.Frame
+
 let test_checkpoint_wire () =
   let ck = { Ck.lb = 3; ub = Some 5; model = Some [| true; false; true |] } in
-  (match Ck.of_wire (Ck.to_wire ck) with
-  | Some c -> Alcotest.(check bool) "round-trips" true (c = ck)
-  | None -> Alcotest.fail "round-trip rejected");
+  let frame = Bytes.to_string (Ck.frame ck) in
+  let decode s = Option.map (fun (f, _) -> Ck.of_frame f) (Frame.parse s 0) in
+  Alcotest.(check bool) "round-trips" true (decode frame = Some ck);
   (* flipping one model bit breaks the digest *)
-  let line = Ck.to_wire ck in
-  let corrupt = Bytes.of_string line in
-  let last = String.length line - 1 in
-  Bytes.set corrupt last (if Bytes.get corrupt last = '1' then '0' else '1');
+  let corrupt = Bytes.of_string frame in
+  let last = Bytes.length corrupt - 1 in
+  Bytes.set corrupt last (Char.chr (Char.code (Bytes.get corrupt last) lxor 1));
   Alcotest.(check bool) "bit flip rejected" true
-    (Ck.of_wire (Bytes.to_string corrupt) = None);
-  Alcotest.(check bool) "short line rejected" true (Ck.of_wire "ck deadbeef 1" = None);
-  Alcotest.(check bool) "garbage rejected" true (Ck.of_wire "hello world" = None)
+    (match decode (Bytes.to_string corrupt) with
+    | _ -> false
+    | exception Frame.Malformed _ -> true);
+  Alcotest.(check bool) "short frame is not a frame yet" true
+    (decode (String.sub frame 0 (String.length frame - 1)) = None);
+  Alcotest.(check bool) "garbage rejected" true
+    (match decode "hello world" with _ -> false | exception Frame.Malformed _ -> true);
+  (* a whole frame whose bracket is crossed decodes to nothing *)
+  let crossed = Ck.frame { Ck.lb = 6; ub = Some 5; model = None } in
+  Alcotest.(check bool) "crossed bracket rejected" true
+    (match decode (Bytes.to_string crossed) with
+    | _ -> false
+    | exception Frame.Malformed _ -> true)
+
+(* The frames read from a nonblocking pipe so far, decoded. *)
+let read_brackets reader fd =
+  let got = ref [] in
+  ignore (Frame.drain reader fd (fun f -> got := Ck.of_frame f :: !got) : bool);
+  List.rev !got
 
 let test_checkpoint_reader_keeps_intact () =
-  let r = Ck.reader () in
+  let r, w = Unix.pipe () in
+  Unix.set_nonblock r;
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  let reader = Frame.reader () in
+  let send b = ignore (Unix.write w b 0 (Bytes.length b)) in
   let a = { Ck.empty with Ck.lb = 1; ub = Some 4 } in
   let b = { a with Ck.lb = 2 } in
-  Ck.feed r (Ck.to_wire a ^ "\n");
-  Alcotest.(check bool) "first frame lands" true (Ck.latest r = Some a);
-  Ck.feed r (Ck.to_wire b ^ "\n");
-  Alcotest.(check bool) "newest intact frame wins" true (Ck.latest r = Some b);
-  (* a frame torn mid-write (no newline yet) must not displace b... *)
+  send (Ck.frame a);
+  Alcotest.(check bool) "first frame lands" true (read_brackets reader r = [ a ]);
+  send (Ck.frame b);
+  Alcotest.(check bool) "next frame lands" true (read_brackets reader r = [ b ]);
+  (* a frame torn mid-write stays buffered, never decoded... *)
   let c = { b with Ck.lb = 3 } in
-  let line = Ck.to_wire c in
-  Ck.feed r (String.sub line 0 (String.length line / 2));
-  Alcotest.(check bool) "torn frame ignored while buffered" true
-    (Ck.latest r = Some b);
-  (* ...nor when the writer dies and the stream ends mid-line: the
-     newline that eventually follows closes an undecodable line *)
-  Ck.feed r "\n";
-  Alcotest.(check bool) "torn frame dropped at line end" true
-    (Ck.latest r = Some b);
-  Alcotest.(check int) "torn frame counted" 1 (Ck.dropped r);
-  (* the pipe keeps working afterwards *)
-  Ck.feed r (Ck.to_wire c ^ "\n");
-  Alcotest.(check bool) "stream recovers" true (Ck.latest r = Some c)
+  let fc = Ck.frame c in
+  let half = Bytes.length fc / 2 in
+  ignore (Unix.write w fc 0 half);
+  Alcotest.(check bool) "torn frame not delivered" true (read_brackets reader r = []);
+  Alcotest.(check int) "torn bytes pending" half (Frame.pending reader);
+  (* ...and completes when the rest arrives *)
+  ignore (Unix.write w fc half (Bytes.length fc - half));
+  Alcotest.(check bool) "stream recovers" true (read_brackets reader r = [ c ]);
+  Alcotest.(check int) "nothing pending" 0 (Frame.pending reader)
 
 let test_checkpoint_merge () =
   let a = { Ck.lb = 2; ub = Some 5; model = Some [| true |] } in
@@ -302,26 +319,9 @@ let test_checkpoint_writer_once_per_change () =
      would fill the pipe and fail with EAGAIN instead of hanging. *)
   Unix.set_nonblock r;
   Unix.set_nonblock w;
-  let pending = Buffer.create 256 and chunk = Bytes.create 4096 in
-  (* The complete lines written since the last call. *)
-  let frames () =
-    let rec rd () =
-      match Unix.read r chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | n ->
-          Buffer.add_subbytes pending chunk 0 n;
-          rd ()
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-    in
-    rd ();
-    let lines = String.split_on_char '\n' (Buffer.contents pending) in
-    Buffer.clear pending;
-    match List.rev lines with
-    | tail :: complete ->
-        Buffer.add_string pending tail;
-        List.rev complete
-    | [] -> []
-  in
+  let reader = Frame.reader () in
+  (* The whole frames written since the last call. *)
+  let frames () = read_brackets reader r in
   let cell = G.Progress.create () in
   let tick = Ck.writer w cell in
   let ticks n =
@@ -330,18 +330,18 @@ let test_checkpoint_writer_once_per_change () =
     done
   in
   ticks 10_000;
-  Alcotest.(check (list string)) "an empty cell writes nothing" [] (frames ());
+  Alcotest.(check int) "an empty cell writes nothing" 0 (List.length (frames ()));
   let one_frame what =
     ticks 10_000;
     match frames () with
-    | [ line ] ->
+    | [ ck ] ->
         Alcotest.(check bool)
           (what ^ ": the frame decodes to the cell")
           true
-          (Ck.of_wire line = Some (Ck.of_cell cell))
-    | lines ->
+          (ck = Ck.of_cell cell)
+    | cks ->
         Alcotest.failf "%s: %d frames in 10000 ticks, expected 1" what
-          (List.length lines)
+          (List.length cks)
   in
   G.Progress.note_lb cell 1;
   one_frame "first lb";
@@ -360,7 +360,7 @@ let test_checkpoint_writer_once_per_change () =
   let before = Gc.minor_words () in
   ticks 10_000;
   let words = Gc.minor_words () -. before in
-  Alcotest.(check (list string)) "an unchanged cell writes nothing" [] (frames ());
+  Alcotest.(check int) "an unchanged cell writes nothing" 0 (List.length (frames ()));
   Alcotest.(check bool)
     (Printf.sprintf "10000 unchanged ticks allocate nothing (%.0f words)" words)
     true (words < 64.);

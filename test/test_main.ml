@@ -24,4 +24,5 @@ let () =
       ("service", Test_service.suite);
       ("obs", Test_obs.suite);
       ("workers", Test_workers.suite);
+      ("frame", Test_frame.suite);
     ]

@@ -1,5 +1,5 @@
-(* Observability layer: ring buffer semantics, histogram bucketing,
-   JSONL round-tripping, event forwarding from a forked worker, and the
+(* Observability layer: histogram bucketing, JSONL and event-frame
+   round-tripping, event forwarding from a forked worker, and the
    event-vs-stats consistency oracle over the core-guided algorithms. *)
 
 module Obs = Msu_obs.Obs
@@ -8,45 +8,24 @@ module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
 module Wcnf = Msu_cnf.Wcnf
 module Lit = Msu_cnf.Lit
+module Frame = Msu_frame.Frame
+module W = Msu_harness.Workers
 
-let ev ?(id = 0) kind = { Event.id; at = Obs.now (); kind }
+(* An event as it crosses a worker's pipe, and back. *)
+let frame_of e = Frame.encode Frame.Event Frame.string (Event.to_json e)
+let event_of f = Event.of_json (Frame.decode Frame.Event Frame.string f)
 
-(* ----- ring buffer ----- *)
-
-let test_ring_basic () =
-  let r = Obs.Ring.create 8 in
-  Alcotest.(check int) "capacity" 8 (Obs.Ring.capacity r);
-  Alcotest.(check int) "empty length" 0 (Obs.Ring.length r);
-  Obs.Ring.push r (ev Event.Sat_call);
-  Obs.Ring.push r (ev (Event.Lb 1));
-  Alcotest.(check int) "two retained" 2 (Obs.Ring.length r);
-  Alcotest.(check int) "two ever" 2 (Obs.Ring.total r);
-  match List.map (fun e -> e.Event.kind) (Obs.Ring.contents r) with
-  | [ Event.Sat_call; Event.Lb 1 ] -> ()
-  | _ -> Alcotest.fail "contents should be oldest-first"
-
-let test_ring_wraparound () =
-  let r = Obs.Ring.create 4 in
-  for i = 1 to 10 do
-    Obs.Ring.push r (ev (Event.Lb i))
-  done;
-  Alcotest.(check int) "total counts past capacity" 10 (Obs.Ring.total r);
-  Alcotest.(check int) "length clamps at capacity" 4 (Obs.Ring.length r);
-  (* The four youngest survive, oldest first. *)
-  let kinds = List.map (fun e -> e.Event.kind) (Obs.Ring.contents r) in
-  Alcotest.(check bool)
-    "retains the last four pushes" true
-    (kinds = [ Event.Lb 7; Event.Lb 8; Event.Lb 9; Event.Lb 10 ])
-
-let test_ring_sink () =
-  let r = Obs.Ring.create 4 in
-  let s = Obs.Ring.sink r in
-  Obs.emit s ~id:3 Event.Sat_call;
-  match Obs.Ring.contents r with
-  | [ e ] ->
-      Alcotest.(check int) "sink stamps the id" 3 e.Event.id;
-      Alcotest.(check bool) "timestamped" true (e.Event.at > 0.)
-  | _ -> Alcotest.fail "one event expected"
+(* Run [emit] in a forked pool worker whose event sink is its up pipe;
+   the parent feeds the forwarded events to [sink] — the portfolio and
+   service forwarding path. *)
+let forward ~sink emit =
+  let pool = W.create ~grace:1.0 ~codec:Frame.bool () in
+  ignore
+    (W.spawn pool ~events:sink ~deadline:infinity ~on_frame:ignore ~on_exit:ignore
+       (fun ~up ~down:_ ->
+         emit (W.event_sink up);
+         true));
+  W.wait pool
 
 (* ----- histogram buckets ----- *)
 
@@ -141,19 +120,28 @@ let all_kinds =
     Event.Note "free-form narration, with spaces";
   ]
 
+(* Every kind survives an event frame, span numbers of the full 60 bits
+   a span id can use included. *)
 let test_wire_round_trip () =
+  let wide =
+    Event.Span_begin
+      { trace = 0xFFF_FFFF_FFFF_FFF1; span = 0xABC_DEF0_1234_5679; parent = 1; phase = "x" }
+  in
   List.iteri
     (fun i kind ->
       let e = { Event.id = i; at = 1234.5 +. float_of_int i; kind } in
-      match Event.of_wire (Event.to_wire e) with
-      | None -> Alcotest.fail ("of_wire failed on: " ^ Event.to_wire e)
-      | Some e' ->
-          Alcotest.(check int) "id survives" e.Event.id e'.Event.id;
-          Alcotest.(check bool)
-            ("kind survives: " ^ Event.kind_to_string kind)
-            true
-            (e'.Event.kind = kind))
-    all_kinds
+      match Frame.parse (Bytes.to_string (frame_of e)) 0 with
+      | Some (f, _) -> (
+          match event_of f with
+          | None -> Alcotest.fail ("event frame rejected: " ^ Event.to_json e)
+          | Some e' ->
+              Alcotest.(check int) "id survives" e.Event.id e'.Event.id;
+              Alcotest.(check bool)
+                ("kind survives: " ^ Event.kind_to_string kind)
+                true
+                (e'.Event.kind = kind))
+      | None -> Alcotest.fail "event frame incomplete")
+    (wide :: all_kinds)
 
 let test_jsonl_round_trip () =
   let events =
@@ -183,57 +171,30 @@ let test_jsonl_round_trip () =
 
 (* ----- event ordering across a fork ----- *)
 
-(* A forked worker emits over a pipe in wire form, the parent feeds the
-   lines back into a sink — the portfolio/service forwarding path in
-   miniature.  Order and payloads must survive. *)
+(* A forked worker emits over its pipe as event frames, the parent feeds
+   them back into a sink.  Order and payloads must survive. *)
 let test_forked_worker_ordering () =
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      let oc = Unix.out_channel_of_descr wr in
-      let sink =
-        Obs.of_fn (fun e -> output_string oc (Event.to_wire e ^ "\n"))
-      in
+  let col = Obs.Collector.create () in
+  forward ~sink:(Obs.Collector.sink col) (fun sink ->
       for i = 1 to 50 do
         Obs.emit sink ~id:7 (Event.Lb i)
       done;
-      Obs.emit sink ~id:7 (Event.Ub 50);
-      close_out oc;
-      Unix._exit 0
-  | pid ->
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      let col = Obs.Collector.create () in
-      let parent = Obs.Collector.sink col in
-      (try
-         while true do
-           match Event.of_wire (input_line ic) with
-           | Some e -> Obs.feed parent e
-           | None -> Alcotest.fail "unparseable wire line"
-         done
-       with End_of_file -> ());
-      close_in ic;
-      ignore (Unix.waitpid [] pid);
-      let events = Obs.Collector.events col in
-      Alcotest.(check int) "all events crossed the pipe" 51 (List.length events);
-      List.iter
-        (fun e -> Alcotest.(check int) "id preserved" 7 e.Event.id)
-        events;
-      let bounds =
-        List.filter_map
-          (fun e -> match e.Event.kind with Event.Lb v -> Some v | _ -> None)
-          events
-      in
-      Alcotest.(check (list int))
-        "lower bounds arrive in emission order"
-        (List.init 50 (fun i -> i + 1))
-        bounds;
-      let tl = Obs.Timeline.of_events events in
-      Alcotest.(check bool) "timeline monotone" true (Obs.Timeline.monotone tl);
-      Alcotest.(check bool)
-        "final bracket" true
-        (Obs.Timeline.final tl = (Some 50, Some 50))
+      Obs.emit sink ~id:7 (Event.Ub 50));
+  let events = Obs.Collector.events col in
+  Alcotest.(check int) "all events crossed the pipe" 51 (List.length events);
+  List.iter (fun e -> Alcotest.(check int) "id preserved" 7 e.Event.id) events;
+  let bounds =
+    List.filter_map
+      (fun e -> match e.Event.kind with Event.Lb v -> Some v | _ -> None)
+      events
+  in
+  Alcotest.(check (list int))
+    "lower bounds arrive in emission order"
+    (List.init 50 (fun i -> i + 1))
+    bounds;
+  let tl = Obs.Timeline.of_events events in
+  Alcotest.(check bool) "timeline monotone" true (Obs.Timeline.monotone tl);
+  Alcotest.(check bool) "final bracket" true (Obs.Timeline.final tl = (Some 50, Some 50))
 
 (* ----- spans ----- *)
 
@@ -298,9 +259,9 @@ let test_span_nesting () =
     "all chains reach the root" true
     (Obs.Span.Report.rooted ~root:0 evs)
 
-(* Worker spans cross the fork boundary over the wire pipe and
+(* Worker spans cross the fork boundary over the worker's pipe and
    re-parent under the coordinator's request span — the portfolio /
-   service propagation path in miniature. *)
+   service propagation path. *)
 let test_span_reparenting () =
   let col = Obs.Collector.create () in
   let parent_sink = Obs.Collector.sink col in
@@ -309,55 +270,31 @@ let test_span_reparenting () =
   Obs.Span.set_anchor sp (Obs.Span.span_of req);
   let trace = Obs.Span.trace_id sp in
   let anchor = Obs.Span.current sp in
-  let rd, wr = Unix.pipe () in
-  match Unix.fork () with
-  | 0 ->
-      Unix.close rd;
-      Obs.after_fork ();
-      let oc = Unix.out_channel_of_descr wr in
-      let sink =
-        Obs.of_fn (fun e -> output_string oc (Event.to_wire e ^ "\n"))
-      in
+  forward ~sink:parent_sink (fun sink ->
       let wsp = Obs.Span.create ~trace ~parent:anchor ~sink ~id:9 () in
       Obs.Span.wrap wsp "sat_call" (fun () ->
-          Obs.Span.wrap wsp "core_extract" (fun () -> ()));
-      close_out oc;
-      Unix._exit 0
-  | pid -> (
-      Unix.close wr;
-      let ic = Unix.in_channel_of_descr rd in
-      (try
-         while true do
-           match Event.of_wire (input_line ic) with
-           | Some e -> Obs.feed parent_sink e
-           | None -> Alcotest.fail "unparseable span frame"
-         done
-       with End_of_file -> ());
-      close_in ic;
-      ignore (Unix.waitpid [] pid);
-      Obs.Span.stop sp req;
-      let evs = Obs.Collector.events col in
-      List.iter
-        (fun e ->
-          match e.Event.kind with
-          | Event.Span_begin { trace = t; _ } | Event.Span_end { trace = t; _ }
-            ->
-              Alcotest.(check bool)
-                "worker spans carry the coordinator's trace id" true (t = trace)
-          | _ -> ())
-        evs;
-      Alcotest.(check bool)
-        "worker spans re-parent under the request span" true
-        (Obs.Span.Report.rooted ~root:(Obs.Span.span_of req) evs);
-      match Obs.Chrome.validate (Obs.Chrome.of_events evs) with
-      | Ok n -> Alcotest.(check int) "request + two worker spans" 3 n
-      | Error msg -> Alcotest.fail ("merged trace invalid: " ^ msg))
+          Obs.Span.wrap wsp "core_extract" (fun () -> ())));
+  Obs.Span.stop sp req;
+  let evs = Obs.Collector.events col in
+  List.iter
+    (fun e ->
+      match e.Event.kind with
+      | Event.Span_begin { trace = t; _ } | Event.Span_end { trace = t; _ } ->
+          Alcotest.(check bool) "worker spans carry the coordinator's trace id" true (t = trace)
+      | _ -> ())
+    evs;
+  Alcotest.(check bool)
+    "worker spans re-parent under the request span" true
+    (Obs.Span.Report.rooted ~root:(Obs.Span.span_of req) evs);
+  match Obs.Chrome.validate (Obs.Chrome.of_events evs) with
+  | Ok n -> Alcotest.(check int) "request + two worker spans" 3 n
+  | Error msg -> Alcotest.fail ("merged trace invalid: " ^ msg)
 
 (* Two workers' span frames interleaved on one up-pipe, plus a torn
    trailing fragment: the torn frame drops, everything else still
    parses, pairs up, and validates. *)
 let test_span_torn_frames () =
-  let mk lines = Obs.of_fn (fun e -> lines := Event.to_wire e :: !lines) in
+  let mk frames = Obs.of_fn (fun e -> frames := Bytes.to_string (frame_of e) :: !frames) in
   let l1 = ref [] and l2 = ref [] in
   let s1 = Obs.Span.create ~sink:(mk l1) ~id:1 () in
   let s2 = Obs.Span.create ~sink:(mk l2) ~id:2 () in
@@ -372,8 +309,13 @@ let test_span_torn_frames () =
     match List.rev !l2 with [ b; e ] -> (b, e) | _ -> Alcotest.fail "l2"
   in
   let torn = String.sub e1 0 (String.length e1 / 2) in
-  let frames = [ b1; b2; e1; e2; torn ] in
-  let parsed = List.filter_map Event.of_wire frames in
+  let stream = String.concat "" [ b1; b2; e1; e2; torn ] in
+  let rec parse pos =
+    match Frame.parse stream pos with
+    | Some (f, next) -> Option.to_list (event_of f) @ parse next
+    | None -> []
+  in
+  let parsed = parse 0 in
   Alcotest.(check int) "torn frame dropped, intact ones kept" 4
     (List.length parsed);
   match Obs.Chrome.validate (Obs.Chrome.of_events parsed) with
@@ -451,9 +393,6 @@ let test_consistency_oracle () =
 
 let suite =
   [
-    Alcotest.test_case "ring basic" `Quick test_ring_basic;
-    Alcotest.test_case "ring wraparound" `Quick test_ring_wraparound;
-    Alcotest.test_case "ring sink stamps" `Quick test_ring_sink;
     Alcotest.test_case "log buckets" `Quick test_log_buckets;
     Alcotest.test_case "histogram boundaries" `Quick test_histogram_boundaries;
     Alcotest.test_case "metrics export" `Quick test_metrics_export;

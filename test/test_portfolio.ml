@@ -133,19 +133,37 @@ let test_all_workers_crash () =
         (T.verify_model w (P.to_result pr))
   | o -> Alcotest.failf "expected crashed, got %a" T.pp_outcome o
 
-(* Kill-mid-flush: the worker dies having written "l 1" with no
-   trailing newline and no report file.  The lone source of that bound
-   is the parent's EOF flush of the up-pipe splitter's residual buffer;
-   if the flush were dropped the merge would report lb = 0. *)
-let test_kill_mid_flush_salvages_torn_frame () =
+(* Kill_mid_solve: the worker writes a whole bound frame, is SIGKILLed
+   and leaves no result.  The only source of its bound is that frame;
+   it must still reach the merge. *)
+let test_killed_worker_bound_reaches_merge () =
   let w = example2 () in
-  let pr = P.solve ~specs:[ P.spec ~fault:Fault.Torn_publish M.Msu3 ] w in
+  let pr = P.solve ~specs:[ P.spec ~fault:Fault.Kill_mid_solve M.Msu4_v2 ] w in
+  (match (List.hd pr.P.reports).P.w_outcome with
+  | T.Crashed _ -> ()
+  | o -> Alcotest.failf "the killed worker reported %a" T.pp_outcome o);
+  Alcotest.(check bool) "the frame's ub reached the merge" true (pr.P.ub <> None);
+  (match pr.P.ub with
+  | Some u -> Alcotest.(check bool) "ub sound" true (u >= 2)
+  | None -> ());
+  Alcotest.(check bool) "lb sound" true (pr.P.lb <= 2);
+  Alcotest.(check bool) "model verifies" true (T.verify_model w (P.to_result pr))
+
+(* Torn_checkpoint: the worker writes half a bound frame after a whole
+   one and dies.  The whole one counts; the torn one never decodes. *)
+let test_torn_bound_frame_keeps_whole_one () =
+  let w = example2 () in
+  let pr = P.solve ~specs:[ P.spec ~fault:Fault.Torn_checkpoint M.Msu3 ] w in
   (match pr.P.outcome with
   | T.Crashed { lb; ub; _ } ->
-      Alcotest.(check int) "torn lb salvaged" 1 lb;
-      Alcotest.(check (option int)) "no ub published" None ub
+      Alcotest.(check bool) "a whole frame crossed the torn stream" true
+        (lb > 0 || ub <> None);
+      Alcotest.(check bool) "lb sound" true (lb <= 2);
+      (match ub with
+      | Some u -> Alcotest.(check bool) "ub sound" true (u >= 2)
+      | None -> ())
   | o -> Alcotest.failf "expected crashed, got %a" T.pp_outcome o);
-  Alcotest.(check int) "merged lb comes from the torn frame" 1 pr.P.lb
+  Alcotest.(check bool) "model verifies" true (T.verify_model w (P.to_result pr))
 
 (* Every worker faulted: the race between crash-salvage and bound
    sharing may still assemble the optimum (a worker that crashed after
@@ -210,163 +228,143 @@ let test_timeout_merges_partial_bounds () =
         true (pr.P.lb >= lb))
     pr.P.reports
 
-(* ---------------- wire protocol hardening ---------------- *)
+(* ---------------- frame hardening ---------------- *)
 
-(* Valid frames round-trip; the parsers reconstruct exactly what the
-   printers emitted. *)
+module Frame = Msu_frame.Frame
+module Ck = Msu_guard.Checkpoint
+
+let parse_one s =
+  match Frame.parse s 0 with Some (f, _) -> Some f | None -> None
+
+let clause_frame (lbd, lits) =
+  Bytes.to_string (Frame.encode Frame.Clause P.clause_codec (lbd, lits))
+
+let decode_clause s =
+  Option.map (Frame.decode Frame.Clause P.clause_codec) (parse_one s)
+
+let decode_bracket s = Option.map Ck.of_frame (parse_one s)
+
+(* Valid frames round-trip; the decoders reconstruct exactly what the
+   encoders wrote. *)
 let test_wire_round_trip () =
   List.iter
-    (fun (lb, ub) ->
-      Alcotest.(check (option (pair int (option int))))
-        (P.Wire.bounds_line ~lb ~ub)
-        (Some (lb, ub))
-        (P.Wire.parse_bounds (P.Wire.bounds_line ~lb ~ub)))
-    [ (0, None); (0, Some 0); (3, Some 7); (5, Some 5) ];
+    (fun (lb, ub, model) ->
+      let ck = { Ck.lb; ub; model } in
+      Alcotest.(check bool) "bracket survives" true
+        (decode_bracket (Bytes.to_string (Ck.frame ck)) = Some ck))
+    [
+      (0, None, None);
+      (0, Some 0, None);
+      (3, Some 7, Some [| true; false; true; true |]);
+      (5, Some 5, Some [| true |]);
+    ];
   List.iter
     (fun (lbd, lits) ->
-      match P.Wire.parse_clause (P.Wire.clause_line ~lbd lits) with
+      match decode_clause (clause_frame (lbd, lits)) with
       | Some (lbd', lits') ->
           Alcotest.(check int) "lbd survives" lbd lbd';
           Alcotest.(check (array int)) "lits survive" lits lits'
-      | None -> Alcotest.failf "clause frame rejected: %s" (P.Wire.clause_line ~lbd lits))
-    [ (1, [| 4 |]); (2, [| 0; 3; 7 |]); (4, [| 10; 11; 12; 13; 14; 15; 16; 17 |]) ];
-  List.iter
-    (fun (cost, m) ->
-      match P.Wire.parse_model (P.Wire.model_line ~cost m) with
-      | Some (c', m') ->
-          Alcotest.(check int) "cost survives" cost c';
-          Alcotest.(check (array bool)) "model survives" m m'
-      | None -> Alcotest.failf "model frame rejected")
-    [ (0, [| true |]); (3, [| true; false; true; true |]) ]
+      | None -> Alcotest.fail "clause frame incomplete")
+    [ (1, [| 4 |]); (2, [| 0; 3; 7 |]); (4, [| 10; 11; 12; 13; 14; 15; 16; 17 |]) ]
 
-(* Malformed frames must be dropped, never installed or raised on:
-   junk tokens, torn frames, huge ints, crossed or negative bounds. *)
+(* Malformed frames must be dropped, never installed or raised on as
+   anything but the codec's own exception: torn frames, flipped bytes,
+   crossed brackets, empty or oversized clauses, frames of another
+   kind. *)
 let test_wire_rejects_malformed () =
-  let bad_bounds =
-    [
-      "";
-      "b";
-      "b 3";
-      "b x y";
-      "b 3 2";  (* crossed bracket *)
-      "b -1 5";  (* negative lb *)
-      "b 3 2 1";  (* extra token *)
-      "b 99999999999999999999999 5";  (* overflows int_of_string *)
-      "u 5";  (* wrong tag *)
-      "b  3 5";  (* empty token from double space *)
-    ]
+  let rejected what f =
+    match f () with
+    | None -> ()
+    | Some _ -> Alcotest.failf "%s decoded" what
+    | exception Frame.Malformed _ -> ()
   in
-  List.iter
-    (fun line ->
-      match P.Wire.parse_bounds line with
-      | None -> ()
-      | Some (lb, ub) ->
-          Alcotest.failf "junk %S parsed as bounds (%d, %s)" line lb
-            (match ub with None -> "none" | Some u -> string_of_int u))
-    bad_bounds;
-  (* ub = -1 is the only legal "none" encoding and must never install a
-     negative upper bound. *)
-  (match P.Wire.parse_bounds "b 2 -1" with
-  | Some (2, None) -> ()
-  | _ -> Alcotest.fail "b 2 -1 must parse as lb=2, no ub");
-  let bad_clauses =
-    [
-      "";
-      "c";
-      "c 2";  (* no literals *)
-      "c -1 3 4";  (* negative lbd *)
-      "c 2 -3";  (* negative packed literal *)
-      "c 2 3 x";  (* junk literal *)
-      "c 2 " ^ String.concat " " (List.init 80 string_of_int);  (* too long *)
-      "l 3";
-    ]
-  in
-  List.iter
-    (fun line ->
-      match P.Wire.parse_clause line with
-      | None -> ()
-      | Some _ -> Alcotest.failf "junk %S parsed as a clause" line)
-    bad_clauses;
-  let bad_models =
-    [ ""; "m"; "m 3"; "m -1 010"; "m 3 01x"; "m x 010"; "m 3 010 1" ]
-  in
-  List.iter
-    (fun line ->
-      match P.Wire.parse_model line with
-      | None -> ()
-      | Some _ -> Alcotest.failf "junk %S parsed as a model" line)
-    bad_models
+  let good = Bytes.to_string (Ck.frame { Ck.lb = 2; ub = Some 4; model = None }) in
+  rejected "torn bracket" (fun () -> decode_bracket (String.sub good 0 (String.length good - 1)));
+  let flipped = Bytes.of_string good in
+  Bytes.set flipped (Bytes.length flipped - 1) '\xff';
+  rejected "flipped bracket" (fun () -> decode_bracket (Bytes.to_string flipped));
+  rejected "crossed bracket" (fun () ->
+      decode_bracket (Bytes.to_string (Ck.frame { Ck.lb = 3; ub = Some 2; model = None })));
+  rejected "negative lb" (fun () ->
+      let neg = Frame.encode Frame.Bracket (Frame.pair Frame.int Frame.bool) (-1, false) in
+      decode_bracket (Bytes.to_string neg));
+  rejected "clause as bracket" (fun () -> decode_bracket (clause_frame (2, [| 4 |])));
+  rejected "empty clause" (fun () -> decode_clause (clause_frame (2, [||])));
+  rejected "oversized clause" (fun () -> decode_clause (clause_frame (2, Array.init 80 Fun.id)));
+  rejected "garbage" (fun () -> decode_clause "hello, world: not a frame at all")
 
-(* Random fuzz: no frame, however corrupt, may raise or produce an
-   out-of-range parse. *)
+(* Random fuzz: no byte string, however corrupt, may raise anything but
+   the codec's exception or decode out of range. *)
 let test_wire_fuzz () =
   let st = Random.State.make [| 0xF022 |] in
-  let alphabet = "bclume 0123456789-x\n " in
+  let good = Bytes.to_string (Ck.frame { Ck.lb = 2; ub = Some 4; model = Some [| true |] }) in
   for _ = 1 to 2000 do
-    let len = Random.State.int st 40 in
-    let line =
-      String.init len (fun _ ->
-          alphabet.[Random.State.int st (String.length alphabet)])
+    let s =
+      if Random.State.bool st then
+        String.init (Random.State.int st 60) (fun _ -> Char.chr (Random.State.int st 256))
+      else
+        String.mapi
+          (fun i c -> if Random.State.int st 8 = 0 && i > 3 then Char.chr (Random.State.int st 256) else c)
+          good
     in
-    (match P.Wire.parse_bounds line with
-    | Some (lb, Some ub) ->
-        Alcotest.(check bool) "bracket ordered" true (0 <= lb && lb <= ub)
-    | Some (lb, None) -> Alcotest.(check bool) "lb nonneg" true (lb >= 0)
-    | None -> ());
-    (match P.Wire.parse_clause line with
+    (match decode_bracket s with
+    | Some { Ck.lb; ub; _ } ->
+        Alcotest.(check bool) "bracket ordered" true
+          (0 <= lb && match ub with Some u -> lb <= u | None -> true)
+    | None | (exception (Frame.Malformed _ | Frame.Version_mismatch _)) -> ());
+    match decode_clause s with
     | Some (lbd, lits) ->
         Alcotest.(check bool) "lbd nonneg" true (lbd >= 0);
         Alcotest.(check bool) "lits nonneg" true (Array.for_all (fun l -> l >= 0) lits)
-    | None -> ());
-    match P.Wire.parse_model line with
-    | Some (cost, m) ->
-        Alcotest.(check bool) "cost nonneg" true (cost >= 0);
-        Alcotest.(check bool) "bits nonempty" true (Array.length m > 0)
-    | None -> ()
+    | None | (exception (Frame.Malformed _ | Frame.Version_mismatch _)) -> ()
   done
 
-(* A worker's l/u/m lines as its ticker wrote them, with its own
-   sent-bound bookkeeping, before they went through the cell's shared
-   change gate: the reference sequence. *)
+(* A worker's bound stream as its ticker would write it with its own
+   sent-bound bookkeeping, before it went through the cell's shared
+   change gate: a snapshot whenever lb rose or ub fell, none for an
+   empty cell. *)
 let reference_publish write cell =
   let module G = Msu_guard.Guard in
   let sent_lb = ref (-1) and sent_ub = ref max_int in
   fun () ->
-    let lb = G.Progress.lb cell in
-    if lb > !sent_lb then begin
+    let lb = G.Progress.lb cell and ub = G.Progress.ub cell in
+    let ub_fell = match ub with Some u -> u < !sent_ub | None -> false in
+    if lb > !sent_lb || ub_fell then begin
       sent_lb := lb;
-      write ("l " ^ string_of_int lb)
-    end;
-    match G.Progress.ub cell with
-    | Some u when u < !sent_ub ->
-        sent_ub := u;
-        write ("u " ^ string_of_int u);
-        (match G.Progress.model cell with
-        | Some m -> write (P.Wire.model_line ~cost:u m)
-        | None -> ())
-    | _ -> ()
+      (match ub with Some u -> sent_ub := u | None -> ());
+      let c = Ck.of_cell cell in
+      if not (Ck.is_empty c) then write c
+    end
 
-(* Random runs of bound notes (improving or not, ub with or without a
-   model) and ticks: the gated publisher writes the same lines in the
-   same order, including the "l 0" of a first tick on an empty cell. *)
+(* Random runs of sound bound notes (improving or not, ub with or
+   without a model) and ticks: the gated writer's bracket frames decode
+   to the same snapshots in the same order. *)
 let prop_publisher_matches_reference =
   QCheck.Test.make ~name:"bound lines match the reference publisher" ~count:500
     QCheck.int (fun seed ->
       let module G = Msu_guard.Guard in
       let st = Random.State.make [| seed |] in
       let cell = G.Progress.create () in
-      let got = ref [] and want = ref [] in
-      let publish = P.Wire.publisher (fun l -> got := l :: !got) cell in
-      let reference = reference_publish (fun l -> want := l :: !want) cell in
+      let r, w = Unix.pipe () in
+      Unix.set_nonblock r;
+      Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+      let want = ref [] in
+      let publish = Ck.writer w cell in
+      let reference = reference_publish (fun c -> want := c :: !want) cell in
       let tick () =
         publish ();
         reference ()
       in
+      (* Sound bounds, as a solve publishes them: a lower bound never
+         above the upper one, improving or not. *)
       for _ = 1 to Random.State.int st 40 do
+        let ub = Option.value (G.Progress.ub cell) ~default:30 in
         (match Random.State.int st 4 with
-        | 0 -> G.Progress.note_lb cell (Random.State.int st 20)
+        | 0 -> G.Progress.note_lb cell (Random.State.int st (ub + 1))
         | 1 ->
-            G.Progress.note_ub cell (Random.State.int st 30)
+            let lb = G.Progress.lb cell in
+            G.Progress.note_ub cell
+              (lb + Random.State.int st (31 - lb))
               (if Random.State.bool st then
                  Some (Array.init 3 (fun _ -> Random.State.bool st))
                else None)
@@ -374,7 +372,9 @@ let prop_publisher_matches_reference =
         if Random.State.bool st then tick ()
       done;
       tick ();
-      !got = !want && !got <> [])
+      let got = ref [] in
+      ignore (Frame.drain (Frame.reader ()) r (fun f -> got := Ck.of_frame f :: !got) : bool);
+      !got = !want)
 
 (* ---------------- clause sharing ---------------- *)
 
@@ -560,8 +560,10 @@ let suite =
     Alcotest.test_case "singleton specs agree" `Quick test_singleton_specs_agree;
     Alcotest.test_case "injected worker crash" `Quick test_injected_worker_crash;
     Alcotest.test_case "all workers crash" `Quick test_all_workers_crash;
-    Alcotest.test_case "kill mid-flush salvages the torn frame" `Quick
-      test_kill_mid_flush_salvages_torn_frame;
+    Alcotest.test_case "killed worker's bound reaches the merge" `Quick
+      test_killed_worker_bound_reaches_merge;
+    Alcotest.test_case "torn bound frame keeps the whole one" `Quick
+      test_torn_bound_frame_keeps_whole_one;
     Alcotest.test_case "every worker faulted is sound" `Quick
       test_every_worker_faulted_sound;
     Alcotest.test_case "hard unsat" `Quick test_hard_unsat;

@@ -303,11 +303,28 @@ let test_cache_lru_and_persistence () =
     (Cache.length c2);
   Alcotest.(check bool) "loaded entry still serves (and re-verifies)" true
     (Cache.find c2 ~fingerprint:"a" w <> None);
+  (* One changed byte anywhere in the snapshot: the load keeps at most
+     the entries before the bad frame, and whatever it keeps still
+     re-verifies or misses. *)
+  let snapshot = In_channel.with_open_bin path In_channel.input_all in
+  String.iteri
+    (fun i ch ->
+      Out_channel.with_open_bin path (fun oc ->
+          output_string oc (String.sub snapshot 0 i);
+          output_char oc (Char.chr (Char.code ch lxor 0x5a));
+          output_string oc (String.sub snapshot (i + 1) (String.length snapshot - i - 1)));
+      let c = Cache.load ~capacity:2 path in
+      Alcotest.(check bool) "a changed byte loses the frame it lands in" true
+        (Cache.length c < 2);
+      match Cache.find c ~fingerprint:"a" w with
+      | Some (cost', _) -> Alcotest.(check int) "a kept entry still serves" cost cost'
+      | None -> ())
+    snapshot;
   let oc = open_out path in
-  output_string oc "not a marshal snapshot";
+  output_string oc "not a cache snapshot";
   close_out oc;
   let c3 = Cache.load ~capacity:2 path in
-  Alcotest.(check int) "corrupt snapshot loads as empty" 0 (Cache.length c3);
+  Alcotest.(check int) "alien snapshot loads as empty" 0 (Cache.length c3);
   Sys.remove path
 
 (* ----- end-to-end, against a forked daemon ----- *)
@@ -593,18 +610,18 @@ let test_version_mismatch_rejected () =
   | T.Optimum 2 -> ()
   | o -> Alcotest.failf "warm-up solve: %a" T.pp_outcome o);
   (* Hand-corrupt the version word of an otherwise valid frame: the
-     daemon must answer Rejected — not tear the connection down on a
-     Marshal error. *)
+     daemon must answer Rejected naming the versions, not just drop the
+     connection. *)
   let fd = Client.connect sock in
   Fun.protect ~finally:(fun () -> Client.close fd) @@ fun () ->
   let frame = Proto.encode Proto.Stats in
-  Bytes.set_int32_be frame 4 (Int32.of_int (Proto.version + 1));
+  Bytes.set_int32_be frame 4 (Int32.of_int (Msu_frame.Frame.version + 1));
   let rec write_all off =
     if off < Bytes.length frame then
       write_all (off + Unix.write fd frame off (Bytes.length frame - off))
   in
   write_all 0;
-  (match (Proto.read_value fd : Proto.reply option) with
+  (match Client.recv fd with
   | Some (Proto.Rejected { reason }) ->
       let contains hay needle =
         let nl = String.length needle and hl = String.length hay in
@@ -683,6 +700,61 @@ let test_e2e_journal_replay () =
   Alcotest.(check int) "journal owes nothing" 0
     (List.length (Journal.pending (Journal.replay path)))
 
+(* ----- bad input on the socket ----- *)
+
+let solves_example2 what sock =
+  match (solve_ok sock (example2 ())).Client.outcome with
+  | T.Optimum 2 -> ()
+  | o -> Alcotest.failf "%s: %a" what T.pp_outcome o
+
+(* A well-formed request whose instance is out of range — here one that
+   declares max_int variables for an instance already in the cache — is
+   rejected as a malformed instance, and the daemon keeps serving. *)
+let test_huge_w_vars_rejected () =
+  with_server @@ fun sock ->
+  solves_example2 "first solve" sock;
+  let fd = Client.connect sock in
+  Fun.protect ~finally:(fun () -> Client.close fd) (fun () ->
+      Client.send fd
+        (Proto.Solve
+           {
+             wcnf = { (Proto.to_wire (example2 ())) with Proto.w_vars = max_int };
+             options = Proto.default_options;
+           });
+      match Client.recv fd with
+      | Some (Proto.Rejected { reason }) ->
+          Alcotest.(check string) "reason" "malformed instance" reason
+      | _ -> Alcotest.fail "expected Rejected for w_vars = max_int");
+  solves_example2 "solve after the huge w_vars" sock
+
+(* Forty request frames, each with one payload byte changed (fixed
+   seed), go to one daemon; after each, a normal solve still succeeds. *)
+let test_corrupt_request_frames () =
+  let w =
+    match Msu_gen.Suites.debugging ~scale:0.2 ~seed:9801 () with
+    | i :: _ -> Wcnf.of_formula i.Msu_gen.Suites.formula
+    | [] -> example2 ()
+  in
+  let frame =
+    Proto.encode (Proto.Solve { wcnf = Proto.to_wire w; options = Proto.default_options })
+  in
+  let header = Msu_frame.Frame.header_bytes in
+  let st = Random.State.make [| 9801 |] in
+  with_server @@ fun sock ->
+  for trial = 1 to 40 do
+    let b = Bytes.copy frame in
+    let i = header + Random.State.int st (Bytes.length b - header) in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 + Random.State.int st 255)));
+    let fd = Client.connect sock in
+    Fun.protect ~finally:(fun () -> Client.close fd) (fun () ->
+        ignore (Unix.write fd b 0 (Bytes.length b));
+        match Client.recv fd with
+        | None | Some (Proto.Rejected _) -> ()
+        | Some _ -> Alcotest.failf "trial %d: a corrupt request was served" trial
+        | exception Client.Error _ -> ());
+    solves_example2 (Printf.sprintf "solve after corrupt frame %d" trial) sock
+  done
+
 let suite =
   [
     Alcotest.test_case "fingerprint invariances" `Quick
@@ -707,6 +779,10 @@ let suite =
     Alcotest.test_case "journal torn tail" `Quick test_journal_torn_tail;
     Alcotest.test_case "version mismatch rejected" `Quick
       test_version_mismatch_rejected;
+    Alcotest.test_case "huge w_vars rejected, daemon serves on" `Quick
+      test_huge_w_vars_rejected;
+    Alcotest.test_case "corrupt request frames, daemon serves on" `Quick
+      test_corrupt_request_frames;
     Alcotest.test_case "e2e crash retry" `Quick test_e2e_crash_retry;
     Alcotest.test_case "e2e journal replay" `Quick test_e2e_journal_replay;
   ]

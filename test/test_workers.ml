@@ -1,5 +1,5 @@
 (* The forked-worker pool shared by the runner, the portfolio and the
-   service: line framing, the down-pipe output buffer, the kill ladder,
+   service: frame reading, the down-pipe output buffer, the kill ladder,
    the reap and the child's descriptor hygiene. *)
 
 module W = Msu_harness.Workers
@@ -7,35 +7,55 @@ module R = Msu_harness.Runner
 module M = Msu_maxsat.Maxsat
 module Ck = Msu_guard.Checkpoint
 module Fault = Msu_guard.Fault
+module Frame = Msu_frame.Frame
 
 (* Spawn one worker and block until it is reaped. *)
-let run_one ?(grace = 0.05) ?(on_line = ignore) ~deadline f =
-  let pool = W.create ~grace () in
+let run_one ?(grace = 0.05) ?(on_frame = ignore) ~codec ~deadline f =
+  let pool = W.create ~grace ~codec () in
   let exit = ref None in
-  ignore (W.spawn pool ~deadline ~on_line ~on_exit:(fun e -> exit := Some e) f);
+  ignore (W.spawn pool ~deadline ~on_frame ~on_exit:(fun e -> exit := Some e) f);
   W.wait pool;
   Option.get !exit
 
-(* ---------------- line framing ---------------- *)
+(* A clause frame, the shape a portfolio worker sends most. *)
+let clause i = Frame.encode Frame.Clause (Frame.pair Frame.nat Frame.nat) (i, i + 1)
 
-(* Line splitting: complete lines come out, the trailing partial frame
-   stays buffered until its newline (or the EOF flush) arrives. *)
-let test_take_lines_residual () =
-  let buf = Buffer.create 32 in
-  Buffer.add_string buf "l 1\nu 4\nc 2 6 ";
-  Alcotest.(check (list string)) "complete lines" [ "l 1"; "u 4" ]
-    (W.take_lines buf);
-  Alcotest.(check string) "partial frame retained" "c 2 6 " (Buffer.contents buf);
-  Buffer.add_string buf "8\n";
-  Alcotest.(check (list string)) "finished frame" [ "c 2 6 8" ]
-    (W.take_lines buf);
-  Alcotest.(check string) "buffer drained" "" (Buffer.contents buf);
-  (* Empty lines are noise, not frames. *)
-  Buffer.add_string buf "\n\nl 2\n\n";
-  Alcotest.(check (list string)) "empties filtered" [ "l 2" ] (W.take_lines buf)
+let clause_of f = Frame.decode Frame.Clause (Frame.pair Frame.nat Frame.nat) f
+
+(* The whole frames in [s] from [pos] on, and where the rest starts. *)
+let rec split s pos =
+  match Frame.parse s pos with
+  | Some (f, next) ->
+      let fs, rest = split s next in
+      (clause_of f :: fs, rest)
+  | None -> ([], pos)
+
+(* ---------------- frame reading ---------------- *)
+
+(* Frame splitting: whole frames come out, the trailing partial frame
+   stays buffered until the rest of it arrives. *)
+let test_frame_reader_residual () =
+  let r, w = Unix.pipe () in
+  Unix.set_nonblock r;
+  Fun.protect ~finally:(fun () -> Unix.close r; Unix.close w) @@ fun () ->
+  let reader = Frame.reader () in
+  let a = clause 1 and b = clause 4 and c = clause 6 in
+  let cut = Bytes.length c - 3 in
+  List.iter (fun f -> ignore (Unix.write w f 0 (Bytes.length f))) [ a; b ];
+  ignore (Unix.write w c 0 cut);
+  let take () =
+    let got = ref [] in
+    ignore (Frame.drain reader r (fun f -> got := clause_of f :: !got) : bool);
+    List.rev !got
+  in
+  Alcotest.(check (list (pair int int))) "whole frames" [ (1, 2); (4, 5) ] (take ());
+  Alcotest.(check int) "partial frame retained" cut (Frame.pending reader);
+  ignore (Unix.write w c cut 3);
+  Alcotest.(check (list (pair int int))) "finished frame" [ (6, 7) ] (take ());
+  Alcotest.(check int) "buffer drained" 0 (Frame.pending reader)
 
 (* Outbuf: a full pipe (EAGAIN) or short write keeps the unsent tail
-   queued and the next flush resumes mid-line; nothing is torn or
+   queued and the next flush resumes mid-frame; nothing is torn or
    dropped.  The pipe is filled to capacity first so the flush hits
    EAGAIN for real. *)
 let test_outbuf_resumes_after_full_pipe () =
@@ -51,8 +71,8 @@ let test_outbuf_resumes_after_full_pipe () =
      done
    with Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
   let out = W.Outbuf.create () in
-  let sent = List.init 200 (fun i -> Printf.sprintf "b %d %d" i (i + 1)) in
-  List.iter (W.Outbuf.queue out) sent;
+  let sent = List.init 200 (fun i -> (i, i + 1)) in
+  List.iter (fun (i, _) -> W.Outbuf.queue out (clause i)) sent;
   W.Outbuf.flush out w;
   Alcotest.(check bool) "backlog pending while pipe is full" true
     (W.Outbuf.pending out);
@@ -61,6 +81,14 @@ let test_outbuf_resumes_after_full_pipe () =
   let buf = Buffer.create 256 in
   let chunk = Bytes.create 4096 in
   let received = ref [] in
+  (* Whole frames move from [buf] to [received]. *)
+  let take () =
+    let s = Buffer.contents buf in
+    let fs, rest = split s 0 in
+    Buffer.clear buf;
+    Buffer.add_substring buf s rest (String.length s - rest);
+    received := !received @ fs
+  in
   let rounds = ref 0 in
   while (W.Outbuf.pending out || !filled > 0) && !rounds < 10_000 do
     incr rounds;
@@ -73,7 +101,7 @@ let test_outbuf_resumes_after_full_pipe () =
         end
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ());
     W.Outbuf.flush out w;
-    received := !received @ W.take_lines buf
+    take ()
   done;
   (* The backlog is flushed; drain what is still in flight in the pipe. *)
   (try
@@ -89,10 +117,11 @@ let test_outbuf_resumes_after_full_pipe () =
      done
    with
   | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) | Exit -> ());
-  received := !received @ W.take_lines buf;
+  take ();
   Unix.close r;
   Unix.close w;
-  Alcotest.(check (list string)) "every line arrives intact, in order" sent !received
+  Alcotest.(check (list (pair int int))) "every frame arrives intact, in order" sent
+    !received
 
 (* A dead peer (EPIPE) drops the backlog instead of raising or spinning. *)
 let test_outbuf_dead_peer () =
@@ -101,7 +130,7 @@ let test_outbuf_dead_peer () =
   Unix.close r;
   let previous = Sys.signal Sys.sigpipe Sys.Signal_ignore in
   let out = W.Outbuf.create () in
-  W.Outbuf.queue out "b 1 2";
+  W.Outbuf.queue out (clause 1);
   W.Outbuf.flush out w;
   Sys.set_signal Sys.sigpipe previous;
   Unix.close w;
@@ -119,7 +148,7 @@ let test_sigterm_flushes_partial_bounds () =
     Msu_guard.Guard.set_cancel_target g;
     let rec spin () =
       match Msu_guard.Guard.tripped g with
-      | Some _ -> (R.Aborted { why = R.Timeout; lb = 7; ub = Some 9 }, 0.01)
+      | Some _ -> (7, Some 9)
       | None ->
           Unix.sleepf 0.002;
           spin ()
@@ -127,21 +156,16 @@ let test_sigterm_flushes_partial_bounds () =
     spin ()
   in
   let e =
-    run_one ~grace:0.05 ~deadline:(Unix.gettimeofday ()) (fun ~up:_ ~down:_ ->
-        thunk ())
+    run_one ~grace:0.05
+      ~codec:(Frame.pair Frame.nat (Frame.option Frame.nat))
+      ~deadline:(Unix.gettimeofday ())
+      (fun ~up:_ ~down:_ -> thunk ())
   in
   match e.W.result with
-  | Ok (R.Aborted { why = R.Timeout; lb = 7; ub = Some 9 }, _) -> ()
-  | Ok (outcome, _) ->
-      Alcotest.failf "partial bounds lost: %s"
-        (match outcome with
-        | R.Solved c -> Printf.sprintf "Solved %d" c
-        | R.Unsat_hard -> "Unsat_hard"
-        | R.Aborted { why; lb; ub } ->
-            Printf.sprintf "Aborted (%s) lb=%d ub=%s"
-              (R.abort_reason_to_string why)
-              lb
-              (match ub with Some u -> string_of_int u | None -> "?"))
+  | Ok (7, Some 9) -> ()
+  | Ok (lb, ub) ->
+      Alcotest.failf "partial bounds lost: lb=%d ub=%s" lb
+        (match ub with Some u -> string_of_int u | None -> "?")
   | Error reason -> Alcotest.failf "partial bounds lost: %s" reason
 
 let test_sigkill_backstop () =
@@ -155,7 +179,7 @@ let test_sigkill_backstop () =
     spin ()
   in
   let t0 = Unix.gettimeofday () in
-  match run_one ~grace:0.02 ~deadline:t0 (fun ~up:_ ~down:_ -> thunk ()) with
+  match run_one ~grace:0.02 ~codec:Frame.bool ~deadline:t0 (fun ~up:_ ~down:_ -> thunk ()) with
   | { W.result = Error _; _ } ->
       (* timeout 0 + grace 0.02 + flush >= 0.25: well under a second *)
       Alcotest.(check bool) "reaped promptly" true (Unix.gettimeofday () -. t0 < 5.0)
@@ -190,7 +214,7 @@ let test_wait_ladder_eintr () =
         go ()
       in
       (match
-         (run_one ~grace:1.0
+         (run_one ~grace:1.0 ~codec:Frame.bool
             ~deadline:(Unix.gettimeofday () +. 4.)
             (fun ~up:_ ~down:_ ->
               nap 0.2;
@@ -204,7 +228,7 @@ let test_wait_ladder_eintr () =
          is SIGTERM-deaf from its first instruction; its ladder starts
          at once. *)
       match
-        (run_one ~grace:0.1
+        (run_one ~grace:0.1 ~codec:Frame.bool
            ~deadline:(Unix.gettimeofday () -. 0.1)
            (fun ~up:_ ~down:_ ->
              nap 30.;
@@ -223,14 +247,15 @@ let test_wait_ladder_eintr () =
    gap between its EOF and its exit to 0.2 s, so a pool that polled
    waitpid without blocking would miss the exit and sleep. *)
 let test_exit_reaped_promptly () =
-  let pool = W.create ~grace:1.0 () in
+  let pool = W.create ~grace:1.0 ~codec:Frame.bool () in
   let exited = ref false in
   ignore
-    (W.spawn pool ~deadline:infinity ~on_line:ignore
+    (W.spawn pool ~deadline:infinity ~on_frame:ignore
        ~on_exit:(fun _ -> exited := true)
        (fun ~up ~down:_ ->
          Unix.close up;
-         Unix.sleepf 0.2));
+         Unix.sleepf 0.2;
+         true));
   let t0 = Unix.gettimeofday () in
   let polls = ref 0 in
   while (not !exited) && !polls < 10 do
@@ -246,9 +271,9 @@ let test_exit_reaped_promptly () =
 (* A worker holds none of another live worker's pipe ends: the first
    worker's parent-side descriptors are closed in the second child. *)
 let test_sibling_holds_no_pipe_ends () =
-  let pool = W.create ~grace:1.0 () in
+  let pool = W.create ~grace:1.0 ~codec:(Frame.list Frame.string) () in
   let first =
-    W.spawn pool ~down:true ~deadline:infinity ~on_line:ignore ~on_exit:ignore
+    W.spawn pool ~down:true ~deadline:infinity ~on_frame:ignore ~on_exit:ignore
       (fun ~up:_ ~down ->
         (* Wait for the parent's go-ahead on the down pipe. *)
         ignore (Unix.read (Option.get down) (Bytes.create 1) 0 1);
@@ -258,7 +283,7 @@ let test_sibling_holds_no_pipe_ends () =
   Alcotest.(check int) "up and down pipe ends" 2 (List.length theirs);
   let result = ref None in
   ignore
-    (W.spawn pool ~deadline:infinity ~on_line:ignore
+    (W.spawn pool ~deadline:infinity ~on_frame:ignore
        ~on_exit:(fun e -> result := Some e.W.result)
        (fun ~up:_ ~down:_ ->
          List.map
@@ -271,7 +296,7 @@ let test_sibling_holds_no_pipe_ends () =
   while !result = None do
     ignore (W.poll pool ~timeout:1.0 ())
   done;
-  W.send first "go";
+  W.send first (Bytes.of_string "go");
   W.wait pool;
   match !result with
   | Some (Ok seen) ->
@@ -279,18 +304,18 @@ let test_sibling_holds_no_pipe_ends () =
   | Some (Error reason) -> Alcotest.failf "second worker failed: %s" reason
   | None -> Alcotest.fail "second worker not reaped"
 
-(* A result file written whole is the result even when the worker is
+(* A result frame written whole is the result even when the worker is
    SIGKILLed afterwards, before it can exit cleanly. *)
 let test_whole_result_survives_kill () =
   let e =
-    run_one ~deadline:infinity (fun ~up:_ ~down:_ ->
+    run_one ~codec:Frame.int ~deadline:infinity (fun ~up:_ ~down:_ ->
         Fault.arm Fault.Kill_after_result;
         42)
   in
   (match e.W.status with
   | Unix.WSIGNALED s when s = Sys.sigkill -> ()
   | _ -> Alcotest.fail "expected the worker to die of SIGKILL after its result");
-  Alcotest.(check bool) "the result file is the result" true (e.W.result = Ok 42);
+  Alcotest.(check bool) "the result frame is the result" true (e.W.result = Ok 42);
   (* The runner's isolated path keeps it too, instead of a crash. *)
   Test_guard.with_fault Fault.Kill_after_result (fun () ->
       let r =
@@ -319,50 +344,52 @@ let test_signal_exit_status () =
             exits := (status, signaled) :: !exits
         | _ -> ())
   in
-  let pool = W.create ~sink ~grace:1.0 () in
+  let pool = W.create ~sink ~grace:1.0 ~codec:Frame.bool () in
   let result = ref None in
   ignore
-    (W.spawn pool ~deadline:infinity ~on_line:ignore
+    (W.spawn pool ~deadline:infinity ~on_frame:ignore
        ~on_exit:(fun e -> result := Some e.W.result)
-       (fun ~up:_ ~down:_ -> Unix.kill (Unix.getpid ()) Sys.sigkill));
+       (fun ~up:_ ~down:_ ->
+         Unix.kill (Unix.getpid ()) Sys.sigkill;
+         true));
   W.wait pool;
   Alcotest.(check (list (pair int bool))) "Worker_exit status and signaled"
     [ (137, true) ] !exits;
   match !result with
   | Some (Error reason) ->
       Alcotest.(check string) "reason names signal 9" "worker killed (signal 9)" reason
-  | Some (Ok ()) -> Alcotest.fail "a killed worker returned a result"
+  | Some (Ok _) -> Alcotest.fail "a killed worker returned a result"
   | None -> Alcotest.fail "worker not reaped"
 
-(* At EOF the tail without a newline reaches the caller's parser like
-   any other line: a whole checkpoint frame is accepted, and half a
-   frame fails its digest and is dropped. *)
+(* At EOF the tail goes through the frame reader like any other bytes:
+   a whole checkpoint frame written just before the exit is delivered,
+   and half a frame is dropped, leaving the last whole one. *)
 let test_eof_tail_reaches_parser () =
-  let frame lb = Ck.to_wire { Ck.empty with Ck.lb; ub = Some 9 } in
+  let frame lb = Ck.frame { Ck.empty with Ck.lb; ub = Some 9 } in
   let run tail =
-    let reader = Ck.reader () in
+    let latest = ref None and frames = ref 0 in
     ignore
-      (run_one ~deadline:infinity
-         ~on_line:(fun line -> Ck.feed reader (line ^ "\n"))
+      (run_one ~codec:Frame.bool ~deadline:infinity
+         ~on_frame:(fun f ->
+           latest := Some (Ck.of_frame f).Ck.lb;
+           incr frames)
          (fun ~up ~down:_ ->
-           W.write_line up (frame 1);
-           ignore (Unix.write_substring up tail 0 (String.length tail))));
-    reader
+           W.write_frame up (frame 1);
+           ignore (Unix.write up tail 0 (Bytes.length tail));
+           Unix._exit 0));
+    (!latest, !frames)
   in
-  let lb_of r = Option.map (fun c -> c.Ck.lb) (Ck.latest r) in
-  let whole = run (frame 2) in
-  Alcotest.(check (option int)) "whole frame without its newline accepted" (Some 2)
-    (lb_of whole);
+  Alcotest.(check (pair (option int) int)) "whole frame at EOF accepted" (Some 2, 2)
+    (run (frame 2));
   let f = frame 3 in
-  let half = run (String.sub f 0 (String.length f / 2)) in
-  Alcotest.(check (option int)) "half frame dropped, last intact frame kept" (Some 1)
-    (lb_of half);
-  Alcotest.(check int) "half frame counted as dropped" 1 (Ck.dropped half)
+  Alcotest.(check (pair (option int) int)) "half frame dropped, last whole frame kept"
+    (Some 1, 1)
+    (run (Bytes.sub f 0 (Bytes.length f / 2)))
 
 let suite =
   [
-    Alcotest.test_case "take_lines keeps the partial frame" `Quick
-      test_take_lines_residual;
+    Alcotest.test_case "frame reader keeps the partial frame" `Quick
+      test_frame_reader_residual;
     Alcotest.test_case "outbuf resumes after a full pipe" `Quick
       test_outbuf_resumes_after_full_pipe;
     Alcotest.test_case "outbuf drops backlog on dead peer" `Quick
