@@ -453,6 +453,60 @@ let test_lexico_inner_choice () =
   Alcotest.(check bool) "inner algorithms agree" true
     (via_oll.T.outcome = via_msu4.T.outcome)
 
+(* Seed-fixed search counts of the seed-42 debugging suite, summed over
+   its instances per algorithm: conflicts, SAT calls, cores, blocking
+   variables and encoding clauses.  Conflicts are the delta of the
+   solver's per-call conflict histogram, as perfbench reads them.  A
+   change to loading or bookkeeping that must leave every search alone
+   keeps these equal. *)
+let h_call_conflicts = Msu_obs.Obs.Metrics.histogram "msu_solver_call_conflicts"
+let call_conflicts () = int_of_float (Msu_obs.Obs.Metrics.histogram_sum h_call_conflicts)
+
+let check_search_counts ~scale pinned () =
+  let ws =
+    List.map
+      (fun i -> Wcnf.of_formula i.Msu_gen.Suites.formula)
+      (Msu_gen.Suites.debugging ~scale ~seed:42 ())
+  in
+  List.iter
+    (fun (alg, expected) ->
+      let c0 = call_conflicts () in
+      let sums = Array.make 4 0 in
+      List.iter
+        (fun w ->
+          let st = (M.solve alg w).T.stats in
+          sums.(0) <- sums.(0) + st.T.sat_calls;
+          sums.(1) <- sums.(1) + st.T.cores;
+          sums.(2) <- sums.(2) + st.T.blocking_vars;
+          sums.(3) <- sums.(3) + st.T.encoding_clauses)
+        ws;
+      let got = Array.append [| call_conflicts () - c0 |] sums in
+      let show a = String.concat "; " (Array.to_list (Array.map string_of_int a)) in
+      Alcotest.(check string)
+        (M.algorithm_to_string alg
+        ^ ": conflicts; sat calls; cores; blocking vars; encoding clauses")
+        (show expected) (show got))
+    pinned
+
+let test_pinned_counts_small =
+  check_search_counts ~scale:0.15
+    [
+      (M.Msu4_v2, [| 1; 9; 5; 44; 5 |]);
+      (M.Msu3, [| 5; 9; 5; 44; 172 |]);
+      (M.Oll, [| 6; 9; 5; 1019; 147 |]);
+      (M.Msu1, [| 2; 9; 5; 44; 192 |]);
+    ]
+
+(* The full-size suite: 29 instances, 170,743 soft clauses. *)
+let test_pinned_counts_full =
+  check_search_counts ~scale:1.0
+    [
+      (M.Msu4_v2, [| 382; 108; 67; 3591; 11073 |]);
+      (M.Msu3, [| 277; 96; 67; 3591; 24425 |]);
+      (M.Oll, [| 242; 96; 67; 170743; 13621 |]);
+      (M.Msu1, [| 335; 96; 67; 3591; 107792 |]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "paper example 2, all algorithms" `Quick
@@ -493,4 +547,7 @@ let suite =
     Alcotest.test_case "lexico agrees with wpm1" `Quick test_lexico_agrees_with_wpm1;
     Alcotest.test_case "lexico rejects non-bmo" `Quick test_lexico_rejects_non_bmo;
     Alcotest.test_case "lexico inner choice" `Quick test_lexico_inner_choice;
+    Alcotest.test_case "pinned debugging search counts" `Quick test_pinned_counts_small;
+    Alcotest.test_case "pinned debugging search counts, full suite" `Slow
+      test_pinned_counts_full;
   ]
