@@ -5,7 +5,7 @@
 
    Exit codes (see the man page's EXIT STATUS): 0 proven optimum,
    10 bounds only, 20 hard clauses unsatisfiable, 2 error (bad input,
-   crash, or failed --verify). *)
+   crash, or failed --verify), 3 --verify could not prove a check. *)
 
 module M = Msu_maxsat.Maxsat
 module T = Msu_maxsat.Types
@@ -20,6 +20,7 @@ let exit_optimum = 0
 let exit_bounds = 10
 let exit_hard_unsat = 20
 let exit_error = 2
+let exit_unproved = 3
 
 let enum_of_string name of_string all to_string s =
   match of_string s with
@@ -378,13 +379,17 @@ let run file algorithm encoding timeout conflicts propagations memory_mb verify
             report.Certify.passed;
         List.iter (fun f -> Printf.printf "c verify FAIL: %s\n" f)
           report.Certify.failures;
-        if Certify.ok report then begin
-          if not quiet then print_endline "c verify: result certified";
-          code
-        end
-        else begin
+        List.iter
+          (fun (check, why) -> Printf.printf "c verify: %s not proved (%s)\n" check why)
+          report.Certify.unproved;
+        if not (Certify.ok report) then begin
           prerr_endline "c error: verification failed";
           exit_error
+        end
+        else if report.Certify.unproved <> [] then exit_unproved
+        else begin
+          if not quiet then print_endline "c verify: result certified";
+          code
         end
       end
       else code))
@@ -446,7 +451,8 @@ let verify =
         ~doc:
           "Certify the result before exiting: re-cost the model, re-prove \
            optimality on a fresh solver with a DRUP-checked refutation, and \
-           cross-check small instances by enumeration.  A failed check exits 2.")
+           cross-check small instances by enumeration.  A failed check exits 2; \
+           a check the probe budget could not settle exits 3.")
 
 let verbose =
   Arg.(
@@ -597,6 +603,10 @@ let exits =
       ~doc:"the hard clauses are unsatisfiable (s UNSATISFIABLE).";
     Cmd.Exit.info exit_error
       ~doc:"error: unreadable input, an internal crash, or a failed $(b,--verify).";
+    Cmd.Exit.info exit_unproved
+      ~doc:
+        "$(b,--verify) found no fault but could not prove every check: its \
+         probe ran out of budget (c verify: ... not proved).";
   ]
   @ List.filter (fun i -> Cmd.Exit.info_code i <> exit_optimum) Cmd.Exit.defaults
 

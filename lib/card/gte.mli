@@ -30,11 +30,8 @@ val at_most_assumptions : t -> int -> Msu_cnf.Lit.t list
     [k < cap] (above the cap the collapsed outputs cannot separate
     values).  @raise Invalid_argument for negative [k]. *)
 
-val assert_at_most : Msu_cnf.Sink.t -> t -> int -> unit
-(** Emit the bound as unit clauses instead of assumptions. *)
-
 val at_most :
   ?guard:Msu_guard.Guard.t -> Msu_cnf.Sink.t -> (Msu_cnf.Lit.t * int) array -> int -> unit
-(** One-shot [build] (capped at [k+1]) plus {!assert_at_most}.  [k < 0]
+(** One-shot [build] (capped at [k+1]) plus the bound as unit clauses.  [k < 0]
     emits the empty clause; a bound at or above the total weight emits
     nothing. *)

@@ -29,7 +29,6 @@ let create () =
 let false_node = 0
 let true_node = 1
 let gate c n = Vec.get c.gates n
-let num_inputs c = c.n_inputs
 let num_nodes c = Vec.size c.gates
 let const _c b = if b then true_node else false_node
 let equal_node (a : node) b = a = b

@@ -20,7 +20,6 @@ val create : unit -> t
 val input : t -> node
 (** Allocates the next primary input. *)
 
-val num_inputs : t -> int
 val num_nodes : t -> int
 
 val const : t -> bool -> node

@@ -22,8 +22,6 @@ val signal_count : t -> int
 val validate : t -> unit
 (** @raise Invalid_argument on dangling operand references or outputs. *)
 
-val eval_gate : kind -> bool -> bool -> bool
-
 val eval : t -> bool array -> bool array
 (** [eval nl inputs] returns the value of every signal. *)
 

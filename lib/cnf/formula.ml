@@ -21,7 +21,6 @@ let add_clause f c =
 let add_clause_l f ls = add_clause f (Array.of_list ls)
 let clause f i = Vec.get f.clauses i
 let iter_clauses g f = Vec.iteri g f.clauses
-let fold_clauses g acc f = Vec.fold (fun (acc, i) c -> (g acc i c, i + 1)) (acc, 0) f.clauses |> fst
 
 let clauses f = Vec.to_array f.clauses
 

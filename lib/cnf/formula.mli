@@ -34,7 +34,6 @@ val clause : t -> int -> Lit.t array
 (** [clause f i] is the [i]-th clause.  Do not mutate the result. *)
 
 val iter_clauses : (int -> Lit.t array -> unit) -> t -> unit
-val fold_clauses : ('a -> int -> Lit.t array -> 'a) -> 'a -> t -> 'a
 val clauses : t -> Lit.t array array
 (** A fresh array of the clauses, in index order. *)
 

@@ -29,6 +29,13 @@ let ensure_capacity v n =
     v.data <- data'
   end
 
+let reserve v n =
+  if n > Array.length v.data then begin
+    let data' = Array.make n v.dummy in
+    Array.blit v.data 0 data' 0 v.size;
+    v.data <- data'
+  end
+
 let push v x =
   ensure_capacity v (v.size + 1);
   v.data.(v.size) <- x;

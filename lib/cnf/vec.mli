@@ -29,6 +29,10 @@ val set : 'a t -> int -> 'a -> unit
 val push : 'a t -> 'a -> unit
 (** Amortized O(1) append. *)
 
+val reserve : 'a t -> int -> unit
+(** [reserve v n] makes room for [n] elements in all, so pushes up to
+    that size reallocate nothing. *)
+
 val pop : 'a t -> 'a
 (** Removes and returns the last element.  @raise Invalid_argument if empty. *)
 

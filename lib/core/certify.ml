@@ -8,12 +8,17 @@ module Card = Msu_card.Card
 module Gte = Msu_card.Gte
 module Fault = Msu_guard.Fault
 
-type report = { passed : string list; failures : string list }
+type report = {
+  passed : string list;
+  unproved : (string * string) list;
+  failures : string list;
+}
 
 let ok r = r.failures = []
 
 let pp ppf r =
   List.iter (fun c -> Format.fprintf ppf "pass: %s@." c) r.passed;
+  List.iter (fun (c, why) -> Format.fprintf ppf "UNPROVED: %s (%s)@." c why) r.unproved;
   List.iter (fun c -> Format.fprintf ppf "FAIL: %s@." c) r.failures
 
 (* Fault hook: simulate a solver that lost part of its refutation by
@@ -122,18 +127,19 @@ let recost w (r : Types.result) =
   | (Types.Bounds { ub = Some u; _ } | Types.Crashed { ub = Some u; _ }), Some m ->
       record "model-cost" (check_model_cost w u m)
   | (Types.Bounds _ | Types.Crashed _ | Types.Hard_unsat), _ -> ());
-  { passed = List.rev !passed; failures = List.rev !failures }
+  { passed = List.rev !passed; unproved = []; failures = List.rev !failures }
 
 let certify ?(encoding = Msu_card.Card.Sortnet) ?(brute_limit = 16)
     ?(max_conflicts = 200_000) ?(spans = Msu_obs.Obs.Span.disabled) w
     (r : Types.result) =
   Msu_obs.Obs.Span.wrap spans "certify" @@ fun () ->
-  let passed = ref [] and failures = ref [] in
+  let passed = ref [] and unproved = ref [] and failures = ref [] in
   let record name result =
     match result with
     | Ok () -> passed := name :: !passed
     | Error msg -> failures := Printf.sprintf "%s: %s" name msg :: !failures
   in
+  let unprove name why = unproved := (name, why) :: !unproved in
   let check_model_cost claim model = check_model_cost w claim model in
   (match (r.Types.outcome, r.Types.model) with
   | Types.Optimum claim, model -> (
@@ -156,8 +162,8 @@ let certify ?(encoding = Msu_card.Card.Sortnet) ?(brute_limit = 16)
                  (* The probe's model says nothing below the claim after
                     all (blocking variables absorb the softs); treat as
                     inconclusive rather than guessing. *)
-                 passed := "optimality (inconclusive probe)" :: !passed)
-         | `Unknown -> passed := "optimality (probe budget out)" :: !passed
+                 unprove "optimality" "inconclusive probe")
+         | `Unknown -> unprove "optimality" "probe budget out"
          | `Unsat true -> passed := "optimality (DRUP-checked)" :: !passed
          | `Unsat false ->
              record "optimality" (Error "refutation failed the DRUP replay"));
@@ -174,7 +180,7 @@ let certify ?(encoding = Msu_card.Card.Sortnet) ?(brute_limit = 16)
   | Types.Hard_unsat, _ -> (
       match refute ~max_conflicts (load_hard w) with
       | `Sat _ -> record "hard-unsat" (Error "hard clauses are satisfiable")
-      | `Unknown -> passed := "hard-unsat (probe budget out)" :: !passed
+      | `Unknown -> unprove "hard-unsat" "probe budget out"
       | `Unsat true -> passed := "hard-unsat (DRUP-checked)" :: !passed
       | `Unsat false ->
           record "hard-unsat" (Error "refutation failed the DRUP replay"))
@@ -188,4 +194,4 @@ let certify ?(encoding = Msu_card.Card.Sortnet) ?(brute_limit = 16)
       | Some _, None ->
           record "model-cost" (Error "model reported without an upper bound")
       | None, _ -> ()));
-  { passed = List.rev !passed; failures = List.rev !failures }
+  { passed = List.rev !passed; unproved = List.rev !unproved; failures = List.rev !failures }

@@ -15,10 +15,10 @@
     {- [Bounds] / [Crashed] — bound ordering ([lb <= ub]) and, when a
        model was salvaged, that its cost equals the reported [ub].}}
 
-    The probes run under a conflict budget; a probe that exhausts it is
-    reported as an {e inconclusive pass} (named "... (probe budget
-    out)"), never as a failure — certification degrades gracefully on
-    hard instances instead of hanging.
+    The probes run under a conflict budget; a probe that exhausts it
+    leaves its check {e unproved} — neither passed nor failed — so
+    certification degrades gracefully on hard instances instead of
+    hanging, and says so.
 
     Armed {!Msu_guard.Fault.Drop_core_clause} hooks (tests only)
     truncate the refutation log before replay, which a correct checker
@@ -26,12 +26,16 @@
 
 type report = {
   passed : string list;  (** checks that succeeded, in execution order *)
+  unproved : (string * string) list;
+      (** checks that neither passed nor failed, as [(check, why)]:
+          [("optimality", "probe budget out")] when the optimality probe
+          ran out of conflicts *)
   failures : string list;  (** each entry is ["check: explanation"] *)
 }
 
 val ok : report -> bool
-(** No failures.  An empty report (e.g. a [Bounds] outcome with no
-    model) is vacuously ok. *)
+(** No failures; unproved checks do not count.  An empty report (e.g.
+    a [Bounds] outcome with no model) is vacuously ok. *)
 
 val pp : Format.formatter -> report -> unit
 

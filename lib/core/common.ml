@@ -124,6 +124,26 @@ let soft_index ~base ~n_soft a =
   let i = Msu_cnf.Lit.var a - base in
   if i >= 0 && i < n_soft then Some i else None
 
+(* A rewrite re-adds a soft clause with its original literals, so they
+   are effectively external: letting inprocessing eliminate one just
+   forces a resurrection (and a re-elimination) on the next rewrite. *)
+let load_rewritable_softs s w =
+  Msu_cnf.Wcnf.iter_soft
+    (fun _ c _ -> Array.iter (fun l -> Msu_sat.Solver.freeze s (Msu_cnf.Lit.var l)) c)
+    w;
+  Msu_sat.Solver.add_softs s (Msu_cnf.Wcnf.num_soft w) (Msu_cnf.Wcnf.soft w)
+
+let set_owner owners sel i =
+  let v = Msu_cnf.Lit.var sel in
+  Msu_cnf.Vec.grow_to owners (v + 1) (-1);
+  Msu_cnf.Vec.set owners v i
+
+let owner owners a =
+  let v = Msu_cnf.Lit.var a in
+  if v < Msu_cnf.Vec.size owners && Msu_cnf.Vec.get owners v >= 0 then
+    Some (Msu_cnf.Vec.get owners v)
+  else None
+
 let frozen_var s () =
   let v = Msu_sat.Solver.new_var s in
   Msu_sat.Solver.freeze s v;

@@ -8,9 +8,6 @@ val over_deadline : Types.config -> bool
 (** Any budget breached — polls the shared guard when one is installed,
     otherwise samples the clock against [deadline] directly. *)
 
-val make_guard : Types.config -> Msu_guard.Guard.t
-(** Fresh guard from the config's budget fields. *)
-
 val guard : Types.config -> Msu_guard.Guard.t
 (** The installed shared guard, or a fresh one from the budget fields. *)
 
@@ -69,6 +66,21 @@ val soft_index : base:int -> n_soft:int -> Msu_cnf.Lit.t -> int option
 (** The soft clause whose selector literal [a] names, on a solver whose
     [n_soft] soft clauses went in through [Solver.add_softs] at [base];
     [None] for any other variable. *)
+
+val load_rewritable_softs : Msu_sat.Solver.t -> Msu_cnf.Wcnf.t -> int
+(** Load the soft clauses for an algorithm that rewrites them under
+    fresh selectors (Fu & Malik, WPM1): freeze every variable they name,
+    then [Solver.add_softs], so soft clause [i]'s first selector is
+    variable [base + i] and retiring it retires the clause.  Returns
+    [base]. *)
+
+val set_owner : int Msu_cnf.Vec.t -> Msu_cnf.Lit.t -> int -> unit
+(** [set_owner owners sel i] records that selector [sel] guards soft
+    clause [i] in a table indexed by variable, growing it with [-1]
+    (no soft clause); [-1] as [i] clears the entry. *)
+
+val owner : int Msu_cnf.Vec.t -> Msu_cnf.Lit.t -> int option
+(** The soft clause an assumption's variable guards in such a table. *)
 
 val frozen_var : Msu_sat.Solver.t -> unit -> Msu_cnf.Lit.var
 (** Fresh-variable source for encoding sinks: every variable is frozen

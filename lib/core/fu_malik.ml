@@ -2,6 +2,7 @@ module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 module Solver = Msu_sat.Solver
 module Sink = Msu_cnf.Sink
+module Vec = Msu_cnf.Vec
 
 type options = { exactly_one : Msu_cnf.Sink.t -> Msu_cnf.Lit.t array -> unit }
 
@@ -9,8 +10,10 @@ type options = { exactly_one : Msu_cnf.Sink.t -> Msu_cnf.Lit.t array -> unit }
    more blocking variable).  With activation literals that rewrite is:
    retire the clause's current selector and re-add the extended clause
    under a fresh one.  The exactly-one constraints are permanent, so
-   they go in as ordinary clauses.  Cores come from the failed
-   assumptions (every soft clause's selector is always assumed). *)
+   they go in as ordinary clauses.  The soft clauses load in one
+   [Solver.add_softs] batch, each under its own retirable selector.
+   Cores come from the failed assumptions (every soft clause's selector
+   is always assumed). *)
 let run_incremental opts (config : Types.config) w t0 =
   let tally = Common.tally config in
   let s = Solver.create ~track_proof:false () in
@@ -21,23 +24,12 @@ let run_incremental opts (config : Types.config) w t0 =
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
   let n_soft = Wcnf.num_soft w in
-  let sel = Array.make (max n_soft 1) (Lit.pos 0) in
-  let blocks = Array.make (max n_soft 1) [] in
-  let soft_of_var = Hashtbl.create (max n_soft 16) in
-  Common.span config "load" (fun () ->
-      Wcnf.iter_soft
-        (fun i c _ ->
-          let l = Lit.pos (Solver.new_var s) in
-          sel.(i) <- l;
-          Hashtbl.replace soft_of_var (Lit.var l) i;
-          (* The rewrite loop re-adds this clause with its original
-             literals every time a core touches it, so its variables are
-             effectively external: letting inprocessing eliminate one
-             just forces a resurrection (and a re-elimination) on the
-             next rewrite. *)
-          Array.iter (fun lit -> Solver.freeze s (Lit.var lit)) c;
-          Solver.add_clause ~selector:l s c)
-        w);
+  let base = Common.load_rewritable_softs s w in
+  let sel = Array.init n_soft (fun i -> Lit.pos (base + i)) in
+  let blocks = Array.make n_soft [] in
+  (* The soft clause each live selector guards, indexed by variable. *)
+  let soft_of_var = Vec.create ~dummy:(-1) in
+  Array.iteri (fun i l -> Common.set_owner soft_of_var l i) sel;
   let sink =
     Sink.
       {
@@ -70,9 +62,7 @@ let run_incremental opts (config : Types.config) w t0 =
           let core =
             Common.span config "core_extract" (fun () -> Solver.conflict_assumptions s)
           in
-          let softs =
-            List.filter_map (fun a -> Hashtbl.find_opt soft_of_var (Lit.var a)) core
-          in
+          let softs = List.filter_map (Common.owner soft_of_var) core in
           match softs with
           | [] -> finish Types.Hard_unsat None
           | _ ->
@@ -88,10 +78,10 @@ let run_incremental opts (config : Types.config) w t0 =
                        re-add with the extra blocking literal under a
                        fresh one. *)
                     Solver.retire_selector s sel.(i);
-                    Hashtbl.remove soft_of_var (Lit.var sel.(i));
+                    Common.set_owner soft_of_var sel.(i) (-1);
                     let l = Lit.pos (Solver.new_var s) in
                     sel.(i) <- l;
-                    Hashtbl.replace soft_of_var (Lit.var l) i;
+                    Common.set_owner soft_of_var l i;
                     Solver.add_clause ~selector:l s
                       (Array.append (Wcnf.soft w i) (Array.of_list blocks.(i)));
                     b)

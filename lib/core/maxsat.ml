@@ -104,7 +104,6 @@ let solve ?(config = Types.default_config) algorithm w =
         ~stagnation:(if supervised then 200_000 else max_int)
         ~seed:config.Types.solve_id w
 
-let solve_formula ?config algorithm f = solve ?config algorithm (Msu_cnf.Wcnf.of_formula f)
 
 module G = Msu_guard.Guard
 module F = Msu_guard.Fault

@@ -52,10 +52,6 @@ val solve :
 (** Dispatches; [Msu4_v1]/[Msu4_v2] override [config.encoding] with
     their fixed encoding.  No algorithm dispatched here reads it. *)
 
-val solve_formula :
-  ?config:Types.config -> algorithm -> Msu_cnf.Formula.t -> Types.result
-(** Plain MaxSAT: every clause of the CNF formula is soft. *)
-
 val solve_supervised :
   ?config:Types.config -> algorithm -> Msu_cnf.Wcnf.t -> Types.result
 (** {!solve} under {!Msu_guard.Guard.supervise}: installs a shared guard

@@ -2,6 +2,7 @@ module Lit = Msu_cnf.Lit
 module Wcnf = Msu_cnf.Wcnf
 module Solver = Msu_sat.Solver
 module Sink = Msu_cnf.Sink
+module Vec = Msu_cnf.Vec
 
 (* Soft clauses are dynamic here: cores split them.  Each live soft
    clause carries its current weight, accumulated blocking literals and
@@ -28,27 +29,26 @@ let solve_incremental (config : Types.config) w t0 =
   Common.setup_inprocess config s;
   Solver.ensure_vars s (Wcnf.num_vars w);
   Wcnf.iter_hard (fun _ c -> Solver.add_clause ~shareable:true s c) w;
-  let softs = Msu_cnf.Vec.create ~dummy:{ lits = [||]; weight = 0; blocks = []; sel = Lit.pos 0 } in
-  let soft_of_var = Hashtbl.create 64 in
+  let softs = Vec.create ~dummy:{ lits = [||]; weight = 0; blocks = []; sel = Lit.pos 0 } in
+  (* The soft clause each live selector guards, indexed by variable. *)
+  let soft_of_var = Vec.create ~dummy:(-1) in
+  let base = Common.load_rewritable_softs s w in
+  Wcnf.iter_soft
+    (fun i c weight ->
+      let sel = Lit.pos (base + i) in
+      Vec.push softs { lits = c; weight; blocks = []; sel };
+      Common.set_owner soft_of_var sel i)
+    w;
+  (* A weight split's remainder: a fresh copy under its own selector. *)
   let enter_soft soft =
-    let i = Msu_cnf.Vec.size softs in
+    let i = Vec.size softs in
     let l = Lit.pos (Solver.new_var s) in
     soft.sel <- l;
-    Msu_cnf.Vec.push softs soft;
-    Hashtbl.replace soft_of_var (Lit.var l) i;
-    (* Core splits re-add this clause with its original literals, so the
-       variables are effectively external: an eliminated one would only
-       be resurrected (and re-eliminated) on the next split. *)
-    Array.iter (fun lit -> Solver.freeze s (Lit.var lit)) soft.lits;
+    Vec.push softs soft;
+    Common.set_owner soft_of_var l i;
     Solver.add_clause ~selector:l s
-      (Array.append soft.lits (Array.of_list soft.blocks));
-    i
+      (Array.append soft.lits (Array.of_list soft.blocks))
   in
-  Common.span config "load" (fun () ->
-      Wcnf.iter_soft
-        (fun _ c weight ->
-          ignore (enter_soft { lits = c; weight; blocks = []; sel = Lit.pos 0 }))
-        w);
   let sink =
     Sink.
       {
@@ -79,8 +79,8 @@ let solve_incremental (config : Types.config) w t0 =
     else begin
       Common.Tally.sat_call tally;
       let assumptions =
-        Array.init (Msu_cnf.Vec.size softs) (fun i ->
-            Lit.neg (Msu_cnf.Vec.get softs i).sel)
+        Array.init (Vec.size softs) (fun i ->
+            Lit.neg (Vec.get softs i).sel)
       in
       match
         Common.sat_call_span config s (fun () ->
@@ -94,9 +94,7 @@ let solve_incremental (config : Types.config) w t0 =
           let core =
             Common.span config "core_extract" (fun () -> Solver.conflict_assumptions s)
           in
-          let idxs =
-            List.filter_map (fun a -> Hashtbl.find_opt soft_of_var (Lit.var a)) core
-          in
+          let idxs = List.filter_map (Common.owner soft_of_var) core in
           match idxs with
           | [] -> finish Types.Hard_unsat None
           | _ ->
@@ -104,33 +102,32 @@ let solve_incremental (config : Types.config) w t0 =
                 ~fresh_blocking:(List.length idxs) tally;
               let wmin =
                 List.fold_left
-                  (fun acc i -> min acc (Msu_cnf.Vec.get softs i).weight)
+                  (fun acc i -> min acc (Vec.get softs i).weight)
                   max_int idxs
               in
               let new_bs =
                 List.map
                   (fun i ->
-                    let soft = Msu_cnf.Vec.get softs i in
+                    let soft = Vec.get softs i in
                     (* Split the weight: the remainder survives as a
                        fresh unrelaxed copy. *)
                     if soft.weight > wmin then
-                      ignore
-                        (enter_soft
-                           {
-                             lits = soft.lits;
-                             weight = soft.weight - wmin;
-                             blocks = soft.blocks;
-                             sel = Lit.pos 0;
-                           });
+                      enter_soft
+                        {
+                          lits = soft.lits;
+                          weight = soft.weight - wmin;
+                          blocks = soft.blocks;
+                          sel = Lit.pos 0;
+                        };
                     let b = Lit.pos (Common.frozen_var s ()) in
                     soft.weight <- wmin;
                     soft.blocks <- b :: soft.blocks;
                     Common.Tally.blocking_var tally;
                     Solver.retire_selector s soft.sel;
-                    Hashtbl.remove soft_of_var (Lit.var soft.sel);
+                    Common.set_owner soft_of_var soft.sel (-1);
                     let l = Lit.pos (Solver.new_var s) in
                     soft.sel <- l;
-                    Hashtbl.replace soft_of_var (Lit.var l) i;
+                    Common.set_owner soft_of_var l i;
                     Solver.add_clause ~selector:l s
                       (Array.append soft.lits (Array.of_list soft.blocks));
                     b)

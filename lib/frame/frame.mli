@@ -7,7 +7,7 @@
     version  4 bytes  {!version}, big-endian
     digest  16 bytes  MD5 of the tag, length and payload bytes
     tag      1 byte   {!tag}
-    length   4 bytes  payload bytes, big-endian, at most {!max_payload}
+    length   4 bytes  payload bytes, big-endian, at most 2{^28}
     v}
 
     One rule covers bad input everywhere: a stream is trusted up to its
@@ -34,7 +34,6 @@ type tag =
 
 val version : int
 val header_bytes : int
-val max_payload : int
 
 exception Malformed of string
 (** Every kind of bad input: bad magic, tag, length or digest, a

@@ -28,7 +28,6 @@ val of_string : string -> kind option
 (** The names faults travel by in service requests and journals. *)
 
 val arm : kind -> unit
-val disarm : kind -> unit
 val disarm_all : unit -> unit
 val armed : kind -> bool
 

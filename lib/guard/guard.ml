@@ -112,9 +112,6 @@ let propagations g = g.propagations
 let remaining_conflicts g =
   if g.max_conflicts = max_int then None else Some (max 0 (g.max_conflicts - g.conflicts))
 
-let time_left g =
-  if g.deadline = infinity then infinity else g.deadline -. Unix.gettimeofday ()
-
 let over_deadline g = g.deadline < infinity && Unix.gettimeofday () > g.deadline
 
 let over_memory g =

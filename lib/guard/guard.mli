@@ -75,9 +75,6 @@ val propagations : t -> int
 val remaining_conflicts : t -> int option
 (** Conflicts left before the budget trips; [None] when unlimited. *)
 
-val time_left : t -> float
-(** Seconds until the deadline ([infinity] when none). *)
-
 (** {2 Externally proved bounds}
 
     A portfolio parent rebroadcasts the best bounds any worker proved;
@@ -117,19 +114,17 @@ val tick : t -> unit
     bounds being lost to an immediate SIGKILL. *)
 
 val set_cancel_target : t -> unit
-(** Make this guard the one {!cancel_current} (and the SIGTERM handler)
+(** Make this guard the one a cancellation (the SIGTERM handler's)
     trips.  Later registrations replace earlier ones.  A cancellation
     that arrived while no guard was registered trips this one
     immediately — a SIGTERM racing a forked worker's setup is deferred,
     never lost. *)
 
-val cancel_current : unit -> unit
-(** Trip the registered guard with {!Cancelled}; with none registered
-    yet, the request is remembered for the next {!set_cancel_target}. *)
-
 val install_sigterm_handler : unit -> unit
-(** Route SIGTERM to {!cancel_current}, forgetting any cancellation
-    target or pending request inherited across the fork.  Call only in
+(** Route SIGTERM to the registered guard, tripping it with
+    {!Cancelled}; with none registered yet, the request is remembered
+    for the next {!set_cancel_target}.  Forgets any cancellation target
+    or pending request inherited across the fork.  Call only in
     a forked child that owns the process (never in a suite/portfolio
     parent). *)
 

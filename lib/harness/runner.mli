@@ -44,16 +44,7 @@ type retry_policy = {
           and reports sound bounds instead *)
 }
 
-val no_retry : retry_policy
-(** One attempt, no retry budget. *)
-
 val abort_reason_to_string : abort_reason -> string
-
-val merge_checkpoint :
-  Msu_cnf.Wcnf.t -> outcome -> Msu_guard.Checkpoint.t -> outcome
-(** Fold a checkpointed bracket into an aborted outcome.  Collapses to
-    [Solved] only when the bracket closes on an upper bound whose model
-    re-verifies against the instance. *)
 
 val run_one :
   ?isolate:bool ->
@@ -74,7 +65,7 @@ val run_one :
     infinite loop or C-level crash costs one run, never the suite, and
     a timed-out run still reports its bounds.  A result frame written
     whole counts even if the worker is killed afterwards.  [retry] (default
-    {!no_retry}) re-runs crashed attempts. *)
+    one attempt) re-runs crashed attempts. *)
 
 val run_suite :
   ?progress:(run -> unit) ->

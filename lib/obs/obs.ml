@@ -454,7 +454,6 @@ module Metrics = struct
     | _ -> invalid_arg ("Metrics.gauge: " ^ name ^ " registered as another type")
 
   let set (g : gauge) v = g := v
-  let gauge_value (g : gauge) = !g
 
   type histogram = hist
 
@@ -602,8 +601,6 @@ module Span = struct
     let n = Atomic.fetch_and_add counter 1 in
     ((Unix.getpid () land 0xffffff) lsl 36) lor (n land 0xfffffffff)
 
-  let fresh_trace = fresh_id
-
   let max_depth = 64
 
   type t = {
@@ -644,7 +641,7 @@ module Span = struct
         {
           sink;
           id;
-          trace = (match trace with Some t -> t | None -> fresh_trace ());
+          trace = (match trace with Some t -> t | None -> fresh_id ());
           live = true;
           anchor = parent;
           depth = 0;

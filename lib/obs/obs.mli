@@ -169,18 +169,15 @@ module Metrics : sig
 
   val gauge : ?registry:registry -> ?help:string -> string -> gauge
   val set : gauge -> float -> unit
-  val gauge_value : gauge -> float
 
   type histogram
 
   val log_buckets : lo:float -> hi:float -> int -> float array
   (** [n >= 2] geometric bucket upper bounds from [lo] to [hi]. *)
 
-  val default_buckets : float array
-  (** 1e-4 s … 100 s, two buckets per decade. *)
-
   val histogram :
     ?registry:registry -> ?help:string -> ?buckets:float array -> string -> histogram
+  (** [buckets] defaults to 1e-4 s … 100 s, two buckets per decade. *)
 
   val observe : histogram -> float -> unit
   val histogram_count : histogram -> int
@@ -220,7 +217,7 @@ module Span : sig
 
   val create : ?trace:int -> ?parent:int -> sink:sink -> id:int -> unit -> t
   (** Tracer emitting into [sink] with solve/request id [id].  [trace]
-      defaults to a {!fresh_trace}; [parent] (default 0 = root) anchors
+      defaults to a fresh id unique across the process tree; [parent] (default 0 = root) anchors
       depth-0 spans.  Returns {!disabled} when [sink] is [Null]. *)
 
   val enabled : t -> bool
@@ -233,9 +230,6 @@ module Span : sig
 
   val current : t -> int
   (** Innermost open stack span, else the anchor. *)
-
-  val fresh_trace : unit -> int
-  (** New id unique across the process tree (pid-salted counter). *)
 
   val dropped : t -> int
   (** Spans discarded because the stack exceeded its preallocated depth
@@ -264,7 +258,9 @@ module Span : sig
     t -> ?parent:int -> phase:string -> t0:float -> t1:float -> ?c1:int -> ?c2:int -> unit -> unit
   (** Retro-emit a completed span over [t0, t1] without touching the
       stack.  Used for aggregated hot sub-phases (propagate/analyze)
-      whose per-call spans would dwarf the trace; see {!agg_phases}. *)
+      whose per-call spans would dwarf the trace.  The Chrome exporter
+      routes the phases ["propagate"] and ["analyze"] to a separate lane,
+      so their intervals don't break B/E nesting on the main lane. *)
 
   type h
   (** Handle for non-nested intervals (queue wait, request lifetime)
@@ -273,11 +269,6 @@ module Span : sig
   val start : t -> ?parent:int -> string -> h
   val span_of : h -> int
   val stop : t -> ?c1:int -> ?c2:int -> h -> unit
-
-  val agg_phases : string list
-  (** Phases that only appear as retro-emitted aggregates; the Chrome
-      exporter routes them to a separate lane so their intervals don't
-      break B/E nesting on the main lane. *)
 
   (** Per-phase self-time/total-time aggregation over an event stream
       (the [--stats-json] phase table and the ablation-profile
@@ -301,7 +292,8 @@ end
 
 (** Chrome [trace_event] JSON exporter (loads in chrome://tracing and
     Perfetto).  Spans become B/E duration events on lane [2*id]
-    ([2*id+1] for {!Span.agg_phases}); other events become instants. *)
+    ([2*id+1] for the aggregate phases of {!Span.complete}); other
+    events become instants. *)
 module Chrome : sig
   val of_events : ?process_name:string -> Event.t list -> string
   (** One event object per line, sorted by timestamp. *)

@@ -51,14 +51,6 @@ let zero_stats () =
     probes = 0;
   }
 
-let accumulate s ~into =
-  into.passes <- into.passes + s.passes;
-  into.eliminated_vars <- into.eliminated_vars + s.eliminated_vars;
-  into.subsumed_clauses <- into.subsumed_clauses + s.subsumed_clauses;
-  into.strengthened_lits <- into.strengthened_lits + s.strengthened_lits;
-  into.failed_literals <- into.failed_literals + s.failed_literals;
-  into.probes <- into.probes + s.probes
-
 type view = {
   num_vars : unit -> int;
   ok : unit -> bool;

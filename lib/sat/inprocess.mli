@@ -42,9 +42,6 @@ type stats = {
 
 val zero_stats : unit -> stats
 
-val accumulate : stats -> into:stats -> unit
-(** Add each counter of the first argument into [into]. *)
-
 (** The solver surface the engine runs against.  Variables are plain
     ints, literals are packed ints ([var * 2 + sign]), clauses are
     arena offsets ("crs").  All closures observe/mutate decision level

@@ -13,16 +13,11 @@
     The result is {e minimal} (every clause is necessary), not minimum
     cardinality. *)
 
-val minimize :
-  ?deadline:float -> Msu_cnf.Formula.t -> int list -> int list option
-(** [minimize f subset] shrinks an unsatisfiable set of clause indices
-    of [f] to a minimal one.  Returns [None] if the deadline interrupts
-    the process (partial progress is discarded) or if [subset] is not
-    actually unsatisfiable. *)
-
 val extract : ?deadline:float -> Msu_cnf.Formula.t -> int list option
-(** Refute the whole formula, then {!minimize} the returned core.
-    [None] when the formula is satisfiable or the budget runs out. *)
+(** Refute the whole formula, then shrink the returned core to a
+    minimal unsatisfiable set of clause indices.  [None] when the
+    formula is satisfiable or the deadline interrupts the process
+    (partial progress is discarded). *)
 
 val is_unsat_subset : Msu_cnf.Formula.t -> int list -> bool
 (** Check a subset by a fresh solver run (no budget). *)

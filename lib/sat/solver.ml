@@ -14,7 +14,9 @@ module Lit = Msu_cnf.Lit
    backing array but offsets are positions, not addresses); compaction
    (see [compact]) is the only operation that moves clauses, and it
    rewrites every live reference (watchers, reasons, clause lists,
-   selector groups).
+   selector groups).  Adding a clause allocates nothing but its arena
+   words: literals are packed into a reused scratch buffer, sorted
+   there by a closure-free heap sort ([sort_by_key]) and copied in.
 
    Arena layout, clause at offset [cr]:
      arena.(cr)     size (number of literals)
@@ -87,11 +89,17 @@ type t = {
      and propagation skips the arena dereference entirely. *)
   mutable watch_data : int array array;
   mutable watch_size : int array; (* used ints (2 x watcher count) *)
-  (* Activation-literal clause groups: selector var -> clause refs
-     guarded by it.  [retire_selector] satisfies the group with a unit
-     and marks its clauses removed; the next compaction reclaims them
-     and drops their watchers. *)
-  selector_groups : (int, int list ref) Hashtbl.t;
+  (* Activation-literal clause groups, in int arrays.  [sel_head.(v)]
+     is [no_group] when variable [v] guards no group, else the offset
+     of its first member cell in [sel_cells] ([nil] for an empty
+     group).  A cell is two words, a clause ref and the offset of the
+     next cell; a clause in several groups has a cell in each.
+     [retire_selector] satisfies a group with a unit and marks its
+     clauses removed; the next compaction reclaims them, drops their
+     watchers and rebuilds the cells. *)
+  mutable sel_head : int array;
+  mutable sel_cells : int array;
+  mutable sel_cells_size : int; (* used words *)
   (* Inprocessing state.  [frozen] variables (selectors, soft/blocking
      vars, totalizer outputs) may never be eliminated or probed;
      [assumed] marks the current [solve] call's assumption variables as
@@ -110,7 +118,6 @@ type t = {
          nothing (this formula has nothing left to simplify), reset by a
          productive one *)
   mutable inprocess_on : bool;
-  inpro_totals : Inprocess.stats;
   mutable order : Idx_heap.t;
   clauses : int Vec.t; (* problem clause refs *)
   learnts : int Vec.t; (* learnt clause refs *)
@@ -122,6 +129,8 @@ type t = {
   trail_lim : int Vec.t; (* trail size at each decision level *)
   scratch_learnt : int Vec.t; (* reused per-conflict learnt-clause buffer *)
   scratch_clear : int Vec.t; (* vars whose [seen] bit awaits clearing *)
+  mutable scratch_lits : int array; (* packed literals of the clause being added *)
+  mutable scratch_keys : int array; (* [watch_order]'s sort keys *)
   mutable qhead : int;
   mutable var_inc : float;
   mutable cla_inc : float;
@@ -173,6 +182,10 @@ let restart_base = 100
 let header_words = 4
 let clause_words size = size + header_words
 let lbd_max = (1 lsl 24) - 1
+
+(* [sel_head] / cell-link sentinels: no group at all, end of a group. *)
+let no_group = -1
+let nil = -2
 
 (* Standard parallel-SAT export filter: short, low-LBD learnts only. *)
 let export_max_lbd = 4
@@ -227,7 +240,9 @@ let create ?(track_proof = true) ?(debug = false) () =
       lbd_tick = 0;
       watch_data = [||];
       watch_size = [||];
-      selector_groups = Hashtbl.create 64;
+      sel_head = [||];
+      sel_cells = [||];
+      sel_cells_size = 0;
       frozen = Bytes.empty;
       assumed = Bytes.empty;
       elim = Bytes.empty;
@@ -239,7 +254,6 @@ let create ?(track_proof = true) ?(debug = false) () =
          classic CDCL; MaxSAT algorithms opt in via [set_inprocess]
          when [Types.config.inprocess] asks for it. *)
       inprocess_on = false;
-      inpro_totals = Inprocess.zero_stats ();
       order = Idx_heap.create ~score:(fun _ -> 0.);
       clauses = Vec.create ~dummy:0;
       learnts = Vec.create ~dummy:0;
@@ -248,6 +262,8 @@ let create ?(track_proof = true) ?(debug = false) () =
       trail_lim = Vec.create ~dummy:0;
       scratch_learnt = Vec.create ~dummy:0;
       scratch_clear = Vec.create ~dummy:0;
+      scratch_lits = Array.make 16 0;
+      scratch_keys = Array.make 16 0;
       qhead = 0;
       var_inc = 1.;
       cla_inc = 1.;
@@ -347,8 +363,8 @@ let ensure_arena s extra =
     s.arena <- a'
   end
 
-let alloc_clause s ~learnt ~safe ~uid (lits : int array) =
-  let size = Array.length lits in
+(* The clause is [lits.(0 .. size - 1)]. *)
+let alloc_clause s ~learnt ~safe ~uid (lits : int array) size =
   ensure_arena s (clause_words size);
   let cr = s.arena_size in
   let a = s.arena in
@@ -401,6 +417,7 @@ let ensure_vars s n =
     s.polarity <- grow_bytes s.polarity n;
     s.seen <- grow_bytes s.seen n;
     s.lbd_stamp <- grow_array s.lbd_stamp (n + 1) 0;
+    s.sel_head <- grow_array s.sel_head n no_group;
     let wcap = 2 * Array.length s.assigns in
     if wcap > Array.length s.watch_data then begin
       s.watch_data <- grow_array s.watch_data wcap [||];
@@ -429,7 +446,6 @@ let freeze s v =
 let frozen s v = v < s.num_vars && Bytes.get s.frozen v <> '\000'
 let is_eliminated s v = v < s.num_vars && Bytes.get s.elim v <> '\000'
 let set_inprocess s b = s.inprocess_on <- b
-let inprocess_totals s = s.inpro_totals
 
 let value_of s l =
   let a = Array.unsafe_get s.assigns (l lsr 1) in
@@ -728,16 +744,34 @@ let rec compact s =
   in
   sweep s.clauses;
   sweep s.learnts;
-  (* Inprocessing (subsumption, strengthening, elimination) can mark
-     individual group members removed while the group stays registered;
-     drop those here instead of resurrecting them through [reloc]. *)
-  Hashtbl.iter
-    (fun _ group ->
-      group :=
-        List.filter_map
-          (fun cr -> if old.(cr + 1) land 2 <> 0 then None else Some (reloc cr))
-          !group)
-    s.selector_groups;
+  (* Selector groups: rebuild the cells, each group's members in their
+     old order.  Inprocessing (subsumption, strengthening, elimination)
+     can mark individual members removed while the group stays
+     registered; drop those here instead of resurrecting them through
+     [reloc]. *)
+  let cells = s.sel_cells in
+  let ncells = Array.make s.sel_cells_size 0 in
+  let nk = ref 0 in
+  for v = 0 to s.num_vars - 1 do
+    let k = ref s.sel_head.(v) in
+    if !k <> no_group then begin
+      s.sel_head.(v) <- nil;
+      let last = ref (-1) in
+      while !k >= 0 do
+        let cr = cells.(!k) in
+        if old.(cr + 1) land 2 = 0 then begin
+          ncells.(!nk) <- reloc cr;
+          ncells.(!nk + 1) <- nil;
+          if !last < 0 then s.sel_head.(v) <- !nk else ncells.(!last + 1) <- !nk;
+          last := !nk;
+          nk := !nk + 2
+        end;
+        k := cells.(!k + 1)
+      done
+    end
+  done;
+  s.sel_cells <- ncells;
+  s.sel_cells_size <- !nk;
   let reclaimed = s.arena_size - !nsize in
   s.arena <- na;
   s.arena_size <- !nsize;
@@ -818,16 +852,18 @@ and check_invariants ?(strict = false) s =
         failf "solver invariant: reason of trail literal %d does not assert it" l
     end
   done;
-  Hashtbl.iter
-    (fun sel group ->
-      List.iter
-        (fun cr ->
-          check_cr "selector group member" cr;
-          if strict && c_removed a cr then
-            failf "solver invariant: selector %d group references removed clause %d"
-              sel cr)
-        !group)
-    s.selector_groups;
+  for v = 0 to s.num_vars - 1 do
+    let k = ref s.sel_head.(v) in
+    while !k >= 0 do
+      if !k + 2 > s.sel_cells_size then
+        failf "solver invariant: selector %d group cell %d outside the cells" v !k;
+      let cr = s.sel_cells.(!k) in
+      check_cr "selector group member" cr;
+      if strict && c_removed a cr then
+        failf "solver invariant: selector %d group references removed clause %d" v cr;
+      k := s.sel_cells.(!k + 1)
+    done
+  done;
   for v = 0 to s.num_vars - 1 do
     if Bytes.get s.elim v <> '\000' && Bytes.get s.frozen v <> '\000' then
       failf "solver invariant: frozen variable %d was eliminated" v
@@ -860,97 +896,190 @@ let gc_arena s =
    resolved against the unit proofs of its (all false, level-0)
    literals derives the empty clause. *)
 
-let refutation_ants s ~uid lits =
-  let ants =
-    Array.fold_left
-      (fun acc q ->
-        let p = s.unit_proof.(q lsr 1) in
-        if p >= 0 then p :: acc else acc)
-      [ uid ] lits
-  in
-  s.refutation <- new_proof s (P_resolved ants)
+(* The literals are [lits.(off .. off + n - 1)]. *)
+let refutation_ants s ~uid (lits : int array) off n =
+  let ants = ref [ uid ] in
+  for i = off to off + n - 1 do
+    let p = s.unit_proof.(lits.(i) lsr 1) in
+    if p >= 0 then ants := p :: !ants
+  done;
+  s.refutation <- new_proof s (P_resolved !ants)
 
 let record_refutation s cr =
   drup_add s [||];
   if s.track_proof then begin
     let a = s.arena in
-    refutation_ants s ~uid:(c_uid a cr)
-      (Array.init (c_size a cr) (fun i -> c_lit a cr i))
+    refutation_ants s ~uid:(c_uid a cr) a (cr + header_words) (c_size a cr)
   end
 
-(* Order a clause's literals true, then unassigned, then false under
-   the level-0 prefix, so its two watched slots start out valid.  The
-   sort is not stable: even an all-unassigned clause comes out
-   permuted (a binary clause reversed), and the watch order that
-   results is part of every seed-fixed search. *)
-let watch_order s lits =
-  let score l = match value_of s l with 1 -> 2 | -1 -> 1 | _ -> 0 in
-  Array.sort (fun a b -> Int.compare (score b) (score a)) lits
+(* ----- sorting packed literals -----
 
-(* Sort packed literals and drop duplicates.  [None] for a tautology,
-   otherwise the distinct literals, increasing.  Sorts [lits] in
-   place. *)
-let distinct (lits : int array) =
-  Array.sort Int.compare lits;
-  let n = ref 0 and tautology = ref false in
-  Array.iter
-    (fun l ->
-      if !n > 0 && lits.(!n - 1) = l then ()
-      else begin
-        if !n > 0 && lits.(!n - 1) = l lxor 1 then tautology := true;
-        lits.(!n) <- l;
-        incr n
-      end)
-    lits;
-  if !tautology then None
-  else if !n = Array.length lits then Some lits
-  else Some (Array.sub lits 0 !n)
+   A monomorphic port of the stdlib's ternary heap sort ([Array.sort]),
+   keyed by a parallel int array: it makes exactly the moves
+   [Array.sort (fun x y -> Int.compare (key x) (key y))] makes, so it
+   reproduces that sort's unstable permutation, with no closure and no
+   exception.  [maxson] answers [-1] where the stdlib raises [Bottom]. *)
+
+let maxson (keys : int array) l i =
+  let i31 = i + i + i + 1 in
+  if i31 + 2 < l then begin
+    let x =
+      if Array.unsafe_get keys i31 < Array.unsafe_get keys (i31 + 1) then i31 + 1 else i31
+    in
+    if Array.unsafe_get keys x < Array.unsafe_get keys (i31 + 2) then i31 + 2 else x
+  end
+  else if i31 + 1 < l && Array.unsafe_get keys i31 < Array.unsafe_get keys (i31 + 1) then
+    i31 + 1
+  else if i31 < l then i31
+  else -1
+
+let set_kv (keys : int array) (vals : int array) i k v =
+  Array.unsafe_set keys i k;
+  Array.unsafe_set vals i v
+
+let rec trickle keys vals l i ek ev =
+  let j = maxson keys l i in
+  if j >= 0 && Array.unsafe_get keys j > ek then begin
+    set_kv keys vals i (Array.unsafe_get keys j) (Array.unsafe_get vals j);
+    trickle keys vals l j ek ev
+  end
+  else set_kv keys vals i ek ev
+
+let rec bubble keys vals l i =
+  let j = maxson keys l i in
+  if j < 0 then i
+  else begin
+    set_kv keys vals i (Array.unsafe_get keys j) (Array.unsafe_get vals j);
+    bubble keys vals l j
+  end
+
+let rec trickleup keys vals i ek ev =
+  let father = (i - 1) / 3 in
+  if Array.unsafe_get keys father < ek then begin
+    set_kv keys vals i (Array.unsafe_get keys father) (Array.unsafe_get vals father);
+    if father > 0 then trickleup keys vals father ek ev else set_kv keys vals 0 ek ev
+  end
+  else set_kv keys vals i ek ev
+
+let sort_by_key (keys : int array) (vals : int array) n =
+  if n > Array.length keys || n > Array.length vals then invalid_arg "Solver.sort_by_key";
+  for i = ((n + 1) / 3) - 1 downto 0 do
+    trickle keys vals n i (Array.unsafe_get keys i) (Array.unsafe_get vals i)
+  done;
+  for i = n - 1 downto 2 do
+    let ek = Array.unsafe_get keys i and ev = Array.unsafe_get vals i in
+    set_kv keys vals i (Array.unsafe_get keys 0) (Array.unsafe_get vals 0);
+    trickleup keys vals (bubble keys vals i 0) ek ev
+  done;
+  if n > 1 then begin
+    let ek = Array.unsafe_get keys 1 and ev = Array.unsafe_get vals 1 in
+    set_kv keys vals 1 (Array.unsafe_get keys 0) (Array.unsafe_get vals 0);
+    set_kv keys vals 0 ek ev
+  end
+
+(* The scratch buffer, grown to hold [n] literals. *)
+let scratch s n =
+  s.scratch_lits <- grow_array s.scratch_lits n 0;
+  s.scratch_lits
+
+(* Order the clause [lits.(0 .. n - 1)] true, then unassigned, then
+   false under the level-0 prefix, so its two watched slots start out
+   valid.  The order is [Array.sort]'s with the score comparison
+   [fun a b -> Int.compare (score b) (score a)] (true 2, unassigned 1,
+   false 0), which is not stable: even an all-unassigned clause comes
+   out permuted (a binary clause reversed), and the watch order that
+   results is part of every seed-fixed search. *)
+let watch_order s (lits : int array) n =
+  s.scratch_keys <- grow_array s.scratch_keys n 0;
+  let keys = s.scratch_keys in
+  for i = 0 to n - 1 do
+    Array.unsafe_set keys i
+      (match value_of s (Array.unsafe_get lits i) with 1 -> 0 | -1 -> 1 | _ -> 2)
+  done;
+  sort_by_key keys lits n
+
+(* Sort the packed literals [lits.(0 .. n - 1)] and drop duplicates, in
+   place.  Returns the number of distinct literals, now increasing at
+   the front, or [-1] for a tautology. *)
+let distinct (lits : int array) n =
+  sort_by_key lits lits n;
+  let m = ref 0 and tautology = ref false in
+  for i = 0 to n - 1 do
+    let l = lits.(i) in
+    if !m > 0 && lits.(!m - 1) = l then ()
+    else begin
+      if !m > 0 && lits.(!m - 1) = l lxor 1 then tautology := true;
+      lits.(!m) <- l;
+      incr m
+    end
+  done;
+  if !tautology then -1 else !m
+
+(* ----- selector groups ----- *)
+
+let ensure_cells s extra = s.sel_cells <- grow_array s.sel_cells (s.sel_cells_size + extra) 0
+
+(* Put clause [cr] at the front of the group of selector variable [v],
+   registering the group when it has none. *)
+let add_member s v cr =
+  ensure_cells s 2;
+  let k = s.sel_cells_size in
+  let head = s.sel_head.(v) in
+  s.sel_cells.(k) <- cr;
+  s.sel_cells.(k + 1) <- (if head = no_group then nil else head);
+  s.sel_head.(v) <- k;
+  s.sel_cells_size <- k + 2
+
+(* The watch-ordered clause [lits.(0 .. len - 1)] is empty or false
+   under the level-0 prefix: it refutes the formula. *)
+let refute_with s ~uid lits len =
+  s.ok <- false;
+  drup_add s [||];
+  if s.track_proof && uid >= 0 then refutation_ants s ~uid lits 0 len
+
+(* Watch the clause just stored at [cr] and, when it is unit under the
+   level-0 prefix, assert and propagate its first literal. *)
+let watch_new s cr =
+  let a = s.arena in
+  let len = c_size a cr in
+  if len >= 2 then attach s cr;
+  let l0 = c_lit a cr 0 in
+  if value_of s l0 < 0 && (len = 1 || value_of s (c_lit a cr 1) = 0) then begin
+    enqueue s l0 cr;
+    let confl = propagate s in
+    if confl >= 0 then begin
+      s.ok <- false;
+      record_refutation s confl
+    end
+  end
 
 (* Install a clause derived by inprocessing — a strengthening or
    elimination resolvent, or a witness clause re-added by [unelim].
-   [lits] are packed, deduplicated and non-tautological; the proof uid
-   is supplied by the caller so resolution steps cite their exact
-   parents.  The clause is registered into the selector group of any
-   literal whose variable owns a group, keeping [retire_selector]
-   coverage exact under clause rewriting.  Returns the new clause ref,
-   or -1 when the clause became a level-0 unit or refuted the
-   formula. *)
-let install_derived s ~uid ~safe lits =
+   [lits] are packed, deduplicated and non-tautological, and stay
+   untouched; the proof uid is supplied by the caller so resolution
+   steps cite their exact parents.  The clause is registered into the
+   selector group of any literal whose variable owns a group, keeping
+   [retire_selector] coverage exact under clause rewriting.  Returns the
+   new clause ref, or -1 when the clause became a level-0 unit or
+   refuted the formula. *)
+let install_derived s ~uid ~safe (lits : int array) =
   assert (decision_level s = 0);
-  let lits = Array.copy lits in
-  watch_order s lits;
   let len = Array.length lits in
-  if len = 0 then begin
-    s.ok <- false;
-    drup_add s [||];
-    if s.track_proof && uid >= 0 then s.refutation <- new_proof s (P_resolved [ uid ]);
-    -1
-  end
-  else if value_of s lits.(0) = 0 then begin
-    s.ok <- false;
-    drup_add s [||];
-    if s.track_proof then refutation_ants s ~uid lits;
+  let buf = scratch s len in
+  Array.blit lits 0 buf 0 len;
+  watch_order s buf len;
+  if len = 0 || value_of s buf.(0) = 0 then begin
+    refute_with s ~uid buf len;
     -1
   end
   else begin
-    let cr = alloc_clause s ~learnt:false ~safe ~uid lits in
+    let cr = alloc_clause s ~learnt:false ~safe ~uid buf len in
     Vec.push s.clauses cr;
-    Array.iter
-      (fun l ->
-        match Hashtbl.find_opt s.selector_groups (l lsr 1) with
-        | Some group -> group := cr :: !group
-        | None -> ())
-      lits;
-    if len >= 2 then attach s cr;
-    let unit_now = value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0) in
-    if unit_now then begin
-      enqueue s lits.(0) cr;
-      let confl = propagate s in
-      if confl >= 0 then begin
-        s.ok <- false;
-        record_refutation s confl
-      end
-    end;
+    for i = 0 to len - 1 do
+      let v = lits.(i) lsr 1 in
+      if s.sel_head.(v) <> no_group then add_member s v cr
+    done;
+    watch_new s cr;
     if len >= 2 then cr else -1
   end
 
@@ -978,117 +1107,126 @@ let rec unelim s v =
           w.wclauses
   end
 
-(* Adding clauses (only at decision level 0). *)
+(* Whether any variable is eliminated: only then can a clause or an
+   assumption name one, so the add paths and [solve] skip their
+   per-literal [unelim] calls otherwise. *)
+let witnesses_live s = Hashtbl.length s.witness_of > 0
 
-(* Add a problem clause whose literals are packed, distinct and name
-   no eliminated variable.  Returns its clause ref, or -1 when the
-   clause refuted the formula. *)
-let add_distinct ?(id = -1) ~safe s lits =
-  watch_order s lits;
-  let len = Array.length lits in
+(* Adding clauses (only at decision level 0).  Every add path runs its
+   [unelim] calls before packing the clause into the scratch buffer,
+   which re-adding witness clauses reuses. *)
+
+(* Add the problem clause [lits.(0 .. len - 1)], whose literals are
+   packed, distinct and name no eliminated variable.  Returns its clause
+   ref, or -1 when the clause refuted the formula. *)
+let add_distinct ~id ~safe s lits len =
+  watch_order s lits len;
   let uid = if s.track_proof then new_proof s (P_axiom id) else -1 in
-  if len = 0 then begin
-    s.ok <- false;
-    drup_add s [||];
-    if s.track_proof then s.refutation <- new_proof s (P_resolved [ uid ]);
-    -1
-  end
-  else if value_of s lits.(0) = 0 then begin
-    (* All literals false under the level-0 prefix: refuted. *)
-    s.ok <- false;
-    drup_add s [||];
-    if s.track_proof then refutation_ants s ~uid lits;
+  if len = 0 || value_of s lits.(0) = 0 then begin
+    refute_with s ~uid lits len;
     -1
   end
   else begin
-    let cr = alloc_clause s ~learnt:false ~safe ~uid lits in
+    let cr = alloc_clause s ~learnt:false ~safe ~uid lits len in
     s.dirty <- s.dirty + 1;
     Vec.push s.clauses cr;
-    if len >= 2 then attach s cr;
-    let unit_now = value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0) in
-    if unit_now then begin
-      enqueue s lits.(0) cr;
-      let confl = propagate s in
-      if confl >= 0 then begin
-        s.ok <- false;
-        record_refutation s confl
-      end
-    end;
+    watch_new s cr;
     cr
   end
 
-let add_clause_core ?id ?(shareable = false) s lits =
+(* Grow the variable tables over [lits] and bring back any eliminated
+   variable they name (with its witness clauses). *)
+let prepare_lits s (lits : Lit.t array) =
+  for j = 0 to Array.length lits - 1 do
+    ensure_vars s (Lit.var lits.(j) + 1)
+  done;
+  if witnesses_live s then
+    for j = 0 to Array.length lits - 1 do
+      unelim s (Lit.var lits.(j))
+    done
+
+(* Pack [lits] into the scratch buffer, then the packed literal [extra]
+   when it is >= 0, sort and dedupe them there.  Returns the number of
+   distinct literals, or -1 for a tautology. *)
+let pack s (lits : Lit.t array) extra =
+  let k = Array.length lits in
+  let buf = scratch s (k + 1) in
+  for j = 0 to k - 1 do
+    Array.unsafe_set buf j (Lit.to_int lits.(j))
+  done;
+  if extra >= 0 then buf.(k) <- extra;
+  distinct buf (if extra >= 0 then k + 1 else k)
+
+(* Add [lits], and the packed literal [extra] when it is >= 0, as one
+   problem clause.  Returns its clause ref, or -1 when it was a
+   tautology or refuted the formula. *)
+let add_lits ~id ~safe s (lits : Lit.t array) extra =
   assert (decision_level s = 0);
   if not s.ok then -1
   else begin
-    Array.iter (fun l -> ensure_vars s (Lit.var l + 1)) lits;
-    (* A clause naming an eliminated variable re-introduces it (and its
-       witness clauses) before this one goes in. *)
-    Array.iter (fun l -> unelim s (Lit.var l)) lits;
+    prepare_lits s lits;
+    if extra >= 0 && witnesses_live s then unelim s (extra lsr 1);
     if not s.ok then -1
     else
-      match distinct (Array.map Lit.to_int lits) with
-      | None -> -1
-      | Some lits -> add_distinct ?id ~safe:shareable s lits
+      let n = pack s lits extra in
+      if n < 0 then -1 else add_distinct ~id ~safe s s.scratch_lits n
   end
 
-let add_clause ?id ?shareable ?selector s lits =
+let add_clause ?(id = -1) ?(shareable = false) ?selector s lits =
   match selector with
-  | None -> ignore (add_clause_core ?id ?shareable s lits)
+  | None -> ignore (add_lits ~id ~safe:shareable s lits (-1))
   | Some sel ->
       (* Activation-literal discipline: the clause is stored as
          [lits \/ sel]; assuming [neg sel] enforces it, and
          [retire_selector] permanently satisfies the group. *)
-      ensure_vars s (Lit.var sel + 1);
+      let v = Lit.var sel in
+      ensure_vars s (v + 1);
       (* Selectors are assumption variables: inprocessing must never
          eliminate or probe them. *)
-      Bytes.unsafe_set s.frozen (Lit.var sel) '\001';
-      let cr = add_clause_core ?id s (Array.append lits [| sel |]) in
-      if cr >= 0 then begin
-        let v = Lit.var sel in
-        let group =
-          match Hashtbl.find_opt s.selector_groups v with
-          | Some g -> g
-          | None ->
-              let g = ref [] in
-              Hashtbl.add s.selector_groups v g;
-              g
-        in
-        group := cr :: !group
-      end
+      Bytes.unsafe_set s.frozen v '\001';
+      let cr = add_lits ~id ~safe:false s lits (Lit.to_int sel) in
+      if cr >= 0 then add_member s v cr
 
 let add_clause_l ?id s lits = add_clause ?id s (Array.of_list lits)
 
 (* Bulk soft-clause loading: clause [i] goes in as [get i \/ sel_i]
-   under the fresh, frozen selector [base + i].  The clause database,
-   literal order included, is the one a frozen [new_var] and
-   [add_clause] of [get i \/ sel_i] per clause would build; the
-   variable tables are sized once and each clause is packed straight
-   from [get i].  No selector group is registered: the algorithms that
-   load this way never retire a selector. *)
+   under the fresh, frozen selector [base + i], registered as that
+   selector's group.  The clause database, literal order included, is
+   the one a frozen [new_var] and [add_clause ~selector] per clause
+   would build.  The variable tables, the arena, the clause list and
+   the group cells are sized once for the batch, and each clause is
+   packed straight from [get i] into the scratch buffer. *)
 let add_softs s n get =
   assert (decision_level s = 0);
   Msu_obs.Obs.Span.wrap s.tracer "load" (fun () ->
       let base = s.num_vars in
       ensure_vars s (base + n);
       Bytes.fill s.frozen base n '\001';
+      let words = ref 0 in
+      for i = 0 to n - 1 do
+        words := !words + clause_words (Array.length (get i) + 1)
+      done;
+      ensure_arena s !words;
+      Vec.reserve s.clauses (Vec.size s.clauses + n);
+      ensure_cells s (2 * n);
+      let revive = witnesses_live s in
       for i = 0 to n - 1 do
         let v = base + i in
         if s.ok then begin
           let c = get i in
-          let k = Array.length c in
-          let lits = Array.make (k + 1) (Lit.to_int (Lit.pos v)) in
-          for j = 0 to k - 1 do
-            let l = c.(j) in
-            if Lit.var l >= base then
+          for j = 0 to Array.length c - 1 do
+            let x = Lit.var c.(j) in
+            if x >= base then
               invalid_arg "Solver.add_softs: a soft literal names a selector variable";
-            unelim s (Lit.var l);
-            lits.(j) <- Lit.to_int l
+            if revive then unelim s x
           done;
-          if s.ok then
-            match distinct lits with
-            | None -> ()
-            | Some lits -> ignore (add_distinct ~safe:false s lits)
+          if s.ok then begin
+            let m = pack s c (2 * v) in
+            if m >= 0 then begin
+              let cr = add_distinct ~id:(-1) ~safe:false s s.scratch_lits m in
+              if cr >= 0 then add_member s v cr
+            end
+          end
         end
       done;
       base)
@@ -1108,41 +1246,28 @@ let add_softs s n get =
 let import_clause s lits =
   assert (decision_level s = 0);
   if s.ok && s.drup_log = None && Array.length lits > 0 then begin
-    Array.iter (fun l -> ensure_vars s (Lit.var l + 1)) lits;
-    Array.iter (fun l -> unelim s (Lit.var l)) lits;
-    if s.ok then
-      match distinct (Array.map Lit.to_int lits) with
-      | None -> ()
-      | Some lits ->
-          watch_order s lits;
-          let len = Array.length lits in
-          let uid = if s.track_proof then new_proof s (P_axiom (-1)) else -1 in
-          s.n_imported <- s.n_imported + 1;
-          if value_of s lits.(0) = 0 then begin
-            (* All literals false under the level-0 prefix.  The import is
-               implied by the instance's hard clauses (a subset of this
-               formula), so the formula is refuted outright. *)
-            s.ok <- false;
-            if s.track_proof then refutation_ants s ~uid lits
-          end
-          else begin
-            let cr = alloc_clause s ~learnt:true ~safe:true ~uid lits in
-            set_lbd s.arena cr (min len lbd_max);
-            s.dirty <- s.dirty + 1;
-            Vec.push s.learnts cr;
-            if len >= 2 then attach s cr;
-            let unit_now =
-              value_of s lits.(0) < 0 && (len = 1 || value_of s lits.(1) = 0)
-            in
-            if unit_now then begin
-              enqueue s lits.(0) cr;
-              let confl = propagate s in
-              if confl >= 0 then begin
-                s.ok <- false;
-                record_refutation s confl
-              end
-            end
-          end
+    prepare_lits s lits;
+    if s.ok then begin
+      let len = pack s lits (-1) in
+      if len >= 0 then begin
+        let buf = s.scratch_lits in
+        watch_order s buf len;
+        let uid = if s.track_proof then new_proof s (P_axiom (-1)) else -1 in
+        s.n_imported <- s.n_imported + 1;
+        if value_of s buf.(0) = 0 then
+          (* All literals false under the level-0 prefix.  The import is
+             implied by the instance's hard clauses (a subset of this
+             formula), so the formula is refuted outright. *)
+          refute_with s ~uid buf len
+        else begin
+          let cr = alloc_clause s ~learnt:true ~safe:true ~uid buf len in
+          set_lbd s.arena cr (min len lbd_max);
+          s.dirty <- s.dirty + 1;
+          Vec.push s.learnts cr;
+          watch_new s cr
+        end
+      end
+    end
   end
 
 let on_export s f = s.export_hook <- Some f
@@ -1158,19 +1283,22 @@ let drain_imports s =
 let retire_selector s sel =
   assert (decision_level s = 0);
   let v = Lit.var sel in
-  (match Hashtbl.find_opt s.selector_groups v with
-  | None -> ()
-  | Some group ->
-      (* The unit below satisfies every clause of the group; marking
-         them removed lets propagation drop their watchers lazily while
-         learnt clauses (which can only mention the selector with the
-         same sign) stay valid.  The next compaction reclaims the
-         arena words and compacts the watcher lists, so retire-heavy
-         incremental schedules no longer grow them monotonically. *)
-      List.iter (fun cr -> mark_removed s cr) !group;
-      s.dirty <- s.dirty + List.length !group;
-      Hashtbl.remove s.selector_groups v);
-  ignore (add_clause_core s [| sel |]);
+  if v < s.num_vars && s.sel_head.(v) <> no_group then begin
+    (* The unit below satisfies every clause of the group; marking them
+       removed lets propagation drop their watchers lazily while learnt
+       clauses (which can only mention the selector with the same sign)
+       stay valid.  The next compaction reclaims the arena words and
+       compacts the watcher lists, so retire-heavy incremental schedules
+       no longer grow them monotonically. *)
+    let k = ref s.sel_head.(v) in
+    while !k >= 0 do
+      mark_removed s s.sel_cells.(!k);
+      s.dirty <- s.dirty + 1;
+      k := s.sel_cells.(!k + 1)
+    done;
+    s.sel_head.(v) <- no_group
+  end;
+  ignore (add_lits ~id:(-1) ~safe:false s [| sel |] (-1));
   if s.ok then maybe_compact s
 
 (* Conflict analysis: first UIP with basic self-subsumption
@@ -1598,7 +1726,6 @@ let run_inprocess s limits =
     > 0
   in
   s.inpro_backoff <- (if productive then 1 else min (s.inpro_backoff * 2) 64);
-  Inprocess.accumulate st ~into:s.inpro_totals;
   if s.ok then maybe_compact s;
   s.event_hook
     (Msu_obs.Obs.Event.Note
@@ -1764,7 +1891,7 @@ let solve ?(assumptions = [||]) ?(deadline = infinity) ?(conflict_budget = max_i
     (* An eliminated assumption variable comes back from its witness;
        the rest of the assumption set is marked transiently protected so
        a restart-boundary pass cannot eliminate or probe it mid-call. *)
-    Array.iter (fun l -> unelim s (Lit.var l)) assumptions;
+    if witnesses_live s then Array.iter (fun l -> unelim s (Lit.var l)) assumptions;
     Array.iter (fun l -> Bytes.unsafe_set s.assumed (Lit.var l) '\001') assumptions;
     s.deadline <- deadline;
     s.deadline_hit <- false;

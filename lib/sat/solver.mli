@@ -91,16 +91,16 @@ val add_softs : t -> int -> (int -> Msu_cnf.Lit.t array) -> int
     variable count on entry.  Clause [i] ([get i]) is stored as
     [get i \/ sel_i] under the fresh, frozen selector
     [sel_i = Lit.pos (base + i)], so a selector's soft clause is
-    [var - base].  The clause database, literal order included, is the
-    one {!new_var}, {!freeze} and [add_clause] of [get i \/ sel_i] for
-    each clause in turn would build: duplicate literals, tautologies,
-    level-0 assignments and eliminated variables are treated the same.
-    (A variable re-introduced from elimination enters the decision order
-    after the selectors rather than between them.)  The selectors are
-    not registered as [~selector] groups, so {!retire_selector} on one
-    only asserts it and leaves its clause in the database; an algorithm
-    that retires selectors loads with [add_clause ~selector].  Runs
-    inside a ["load"] span on the solver's tracer.
+    [var - base].  The clause database, literal order included, and the
+    selector groups are the ones {!new_var} and
+    [add_clause ~selector:sel_i] of [get i] for each clause in turn
+    would build: duplicate literals, tautologies, level-0 assignments
+    and eliminated variables are treated the same, and
+    {!retire_selector} on [sel_i] retires clause [i].  (A variable
+    re-introduced from elimination enters the decision order after the
+    selectors rather than between them.)  [get] is called twice per
+    clause: once to size the batch, once to load it.  Runs inside a
+    ["load"] span on the solver's tracer.
     @raise Invalid_argument if a literal of [get i] names a variable
     [>= base]; the solver is then only partly loaded. *)
 
@@ -253,9 +253,6 @@ val inprocess :
     unsatisfiable ({!okay} turns false) when simplification refutes the
     formula. *)
 
-val inprocess_totals : t -> Inprocess.stats
-(** Cumulative counters over every pass this solver ever ran. *)
-
 (** {2 Clause arena}
 
     Clauses live in a flat int arena addressed by integer offsets;
@@ -290,6 +287,31 @@ val check_invariants : ?strict:bool -> t -> unit
 val sink : t -> Msu_cnf.Sink.t
 (** A clause sink backed by this solver: fresh variables come from
     {!new_var}, clauses go to untracked {!add_clause}. *)
+
+(** {2 Literal orderings}
+
+    The sorts every add path runs, exposed so tests can hold them to the
+    closure sorts they replace.  Literals are packed ([Lit.to_int]). *)
+
+val sort_by_key : int array -> int array -> int -> unit
+(** [sort_by_key keys vals n] sorts [vals.(0 .. n - 1)] by increasing
+    [keys], moving each key with its value.  The result is exactly the
+    permutation [Array.sort (fun x y -> Int.compare (key x) (key y))]
+    gives (the stdlib's unstable heap sort), with no closure, no
+    exception and no allocation.  [keys] and [vals] may be one array.
+    @raise Invalid_argument if [n] exceeds either length. *)
+
+val watch_order : t -> int array -> int -> unit
+(** [watch_order s lits n] orders [lits.(0 .. n - 1)] as the solver
+    does before watching a new clause: the permutation of
+    [Array.sort (fun a b -> Int.compare (score b) (score a))], where a
+    literal's score under the level-0 assignment is 2 when true, 1 when
+    unassigned and 0 when false. *)
+
+val distinct : int array -> int -> int
+(** [distinct lits n] sorts [lits.(0 .. n - 1)] increasingly and drops
+    duplicates in place.  Returns the number of distinct literals, now
+    at the front, or [-1] when the clause is a tautology. *)
 
 val set_drup : t -> Drup.log -> unit
 (** Start logging learnt-clause additions and deletions (and the final

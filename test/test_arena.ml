@@ -182,6 +182,108 @@ let test_algorithms_equivalence () =
       M.all_algorithms
   done
 
+(* ---------------- literal orderings ----------------
+
+   The closure sorts the add paths ran before [Solver.sort_by_key],
+   kept as the reference: the watch order fixes every seed-fixed
+   search, so the new routine must give exactly these permutations. *)
+
+let old_watch_order score lits = Array.sort (fun a b -> Int.compare (score b) (score a)) lits
+
+let old_distinct (lits : int array) =
+  Array.sort Int.compare lits;
+  let n = ref 0 and tautology = ref false in
+  Array.iter
+    (fun l ->
+      if !n > 0 && lits.(!n - 1) = l then ()
+      else begin
+        if !n > 0 && lits.(!n - 1) = l lxor 1 then tautology := true;
+        lits.(!n) <- l;
+        incr n
+      end)
+    lits;
+  if !tautology then None
+  else if !n = Array.length lits then Some lits
+  else Some (Array.sub lits 0 !n)
+
+(* A level-0 assignment over a few variables (-1 unassigned, 0 false,
+   1 true) and 0–40 packed literals over them: duplicates and both
+   polarities are common. *)
+let gen_assigned_lits =
+  QCheck.Gen.(
+    int_range 1 10 >>= fun n_vars ->
+    pair (array_size (return n_vars) (int_range (-1) 1))
+      (array_size (int_range 0 40) (int_bound ((2 * n_vars) - 1))))
+
+let print_assigned_lits (assign, lits) =
+  let ints a = String.concat "," (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "assign [%s] lits [%s]" (ints assign) (ints lits)
+
+let prop_watch_order =
+  QCheck.Test.make ~name:"watch order is the old score sort's permutation" ~count:2000
+    (QCheck.make ~print:print_assigned_lits gen_assigned_lits)
+    (fun (assign, lits) ->
+      let s = Solver.create () in
+      Solver.ensure_vars s (Array.length assign);
+      Array.iteri
+        (fun v a -> if a >= 0 then Solver.add_clause s [| Lit.make v (a = 1) |])
+        assign;
+      let score l =
+        match assign.(l lsr 1) with -1 -> 1 | a -> if a lxor (l land 1) = 1 then 2 else 0
+      in
+      let expected = Array.copy lits in
+      old_watch_order score expected;
+      let got = Array.copy lits in
+      Solver.watch_order s got (Array.length got);
+      got = expected)
+
+let prop_distinct =
+  QCheck.Test.make ~name:"distinct is the old sort-and-dedupe" ~count:2000
+    (QCheck.make ~print:print_assigned_lits gen_assigned_lits)
+    (fun (_, lits) ->
+      let expected = old_distinct (Array.copy lits) in
+      let buf = Array.copy lits in
+      let n = Solver.distinct buf (Array.length buf) in
+      let got = if n < 0 then None else Some (Array.sub buf 0 n) in
+      got = expected)
+
+let prop_sort_by_key =
+  QCheck.Test.make ~name:"sort_by_key is Array.sort's permutation" ~count:2000
+    QCheck.(array_of_size Gen.(int_range 0 40) (pair (int_range 0 3) small_nat))
+    (fun pairs ->
+      let expected = Array.copy pairs in
+      Array.sort (fun (k1, _) (k2, _) -> Int.compare k1 k2) expected;
+      let keys = Array.map fst pairs and vals = Array.map snd pairs in
+      Solver.sort_by_key keys vals (Array.length pairs);
+      Array.map2 (fun k v -> (k, v)) keys vals = expected)
+
+(* Bulk loading registers one selector group per soft clause: retiring
+   half the selectors and compacting leaves no group referencing a
+   removed clause, and the other half still binds. *)
+let test_bulk_retire_compact () =
+  let st = Random.State.make [| 0xB0C5 |] in
+  let n_vars = 10 and n = 40 in
+  let softs = Array.init n (fun _ -> random_clause st n_vars 3) in
+  let s = Solver.create ~debug:true () in
+  Solver.ensure_vars s n_vars;
+  let base = Solver.add_softs s n (fun i -> softs.(i)) in
+  let kept = List.filter (fun i -> i mod 2 = 1) (List.init n Fun.id) in
+  let assume is = Array.of_list (List.map (fun i -> Lit.neg_of (base + i)) is) in
+  ignore (Solver.solve ~assumptions:(assume (List.init n Fun.id)) s);
+  for i = 0 to n - 1 do
+    if i mod 2 = 0 then Solver.retire_selector s (Lit.pos (base + i))
+  done;
+  Solver.gc_arena s;
+  Solver.check_invariants ~strict:true s;
+  Alcotest.(check int) "no wasted arena words after gc" 0 (Solver.arena_wasted s);
+  let f = Formula.create () in
+  Formula.ensure_vars f n_vars;
+  List.iter (fun i -> ignore (Formula.add_clause f softs.(i))) kept;
+  match (Solver.solve ~assumptions:(assume kept) s, brute_force_sat f) with
+  | Solver.Sat, Some _ -> check_model_satisfies f s
+  | Solver.Unsat, None -> ()
+  | _ -> Alcotest.fail "kept soft clauses disagree with enumeration"
+
 let suite =
   [
     Alcotest.test_case "sat equivalence (seed sweep)" `Quick test_sat_equivalence;
@@ -190,4 +292,8 @@ let suite =
     Alcotest.test_case "watcher leak bounded" `Quick test_watcher_leak_bounded;
     Alcotest.test_case "all algorithms vs brute (seed sweep)" `Slow
       test_algorithms_equivalence;
+    QCheck_alcotest.to_alcotest prop_watch_order;
+    QCheck_alcotest.to_alcotest prop_distinct;
+    QCheck_alcotest.to_alcotest prop_sort_by_key;
+    Alcotest.test_case "bulk load, retire half, compact" `Quick test_bulk_retire_compact;
   ]

@@ -170,6 +170,25 @@ let test_certify_rejects_flipped_answer () =
       let report = C.certify w r in
       Alcotest.(check bool) "flipped answer rejected" false (C.ok report))
 
+(* A probe that runs out of conflicts proves nothing: its check lands
+   among the unproved ones, not the passed ones, and is no failure
+   either.  Pigeonhole(4) as plain MaxSAT has optimum 1, and refuting
+   "cost <= 0" takes more than one conflict. *)
+let test_certify_budget_out_unproved () =
+  let w = Wcnf.of_formula (pigeonhole 4) in
+  let r = M.solve_supervised M.Msu4_v2 w in
+  Alcotest.(check bool) "optimum 1" true (r.T.outcome = T.Optimum 1);
+  let starved = C.certify ~max_conflicts:1 w r in
+  Alcotest.(check (list (pair string string)))
+    "optimality unproved" [ ("optimality", "probe budget out") ] starved.C.unproved;
+  Alcotest.(check bool) "optimality not passed" false
+    (List.exists (String.starts_with ~prefix:"optimality") starved.C.passed);
+  Alcotest.(check bool) "no failure" true (C.ok starved);
+  let full = C.certify w r in
+  Alcotest.(check (list (pair string string))) "proved with budget" [] full.C.unproved;
+  Alcotest.(check bool) "optimality passed" true
+    (List.mem "optimality (DRUP-checked)" full.C.passed)
+
 let test_certify_rejects_truncated_proof () =
   (* Solve honestly; sabotage the refutation log the certifier replays.
      A checker that accepted this would accept an unsound "proof". *)
@@ -454,6 +473,8 @@ let suite =
       test_certify_rejects_flipped_answer;
     Alcotest.test_case "certifier rejects truncated proof" `Quick
       test_certify_rejects_truncated_proof;
+    Alcotest.test_case "certifier: budget-out probe is unproved" `Quick
+      test_certify_budget_out_unproved;
     Alcotest.test_case "crash salvages bounds" `Quick test_crash_salvages_bounds;
     Alcotest.test_case "checkpoint wire codec" `Quick test_checkpoint_wire;
     Alcotest.test_case "checkpoint reader keeps intact frames" `Quick
